@@ -25,7 +25,7 @@ from .music import (
     pick_peaks,
     sample_covariance,
 )
-from .metrics import CrbResult, cov_error, cov_error_offset, crb, steering_derivative
+from .metrics import CrbResult, cov_error, crb, steering_derivative
 from .network import (
     MlpModel,
     OptimizerState,
@@ -49,13 +49,9 @@ from .harness import (
     Harness,
     SweepResult,
     SweepRow,
-    best_train_snr_grid,
-    build_datasets,
-    denoise_analysis,
     parse_config_file,
     read_dataset,
     read_results,
-    run_case_sweep,
     write_dataset,
     write_results,
 )

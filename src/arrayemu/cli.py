@@ -20,7 +20,6 @@ from .harness import (
     CONFIG_KEYS,
     ExperimentConfig,
     Harness,
-    SweepResult,
     config_from_items,
     parse_config_file,
     write_grid,
@@ -127,14 +126,10 @@ def dispatch(args) -> int:
                 harness.ensure_model(r, sid)
                 print(f"trained {cfg.range_tag(r)}/{sid}")
     elif args.verb == "eval":
-        rows = []
         for r in range(len(cfg.angle_ranges_deg)):
             harness.ensure_model(r, args.train_set, train_missing=False)
-            for snr in cfg.snr_test_db:
-                ev = harness.eval_model(r, args.train_set, snr)
-                rows.append(harness._row(r, args.train_set, snr, ev["mse"], ev["r_e"], ev["r_offset"]))
         path = os.path.join(out, f"eval_{args.train_set}.csv")
-        write_results(SweepResult(rows=rows), path)
+        write_results(harness.set_sweep(args.train_set), path)
         print(f"wrote {path}")
     elif args.verb == "sweep":
         result = harness.run_case_sweep(args.case)

@@ -43,6 +43,7 @@ from .network import (
     TrainConfig,
     load_model,
     predict,
+    read_block,
     save_model,
     stack_real_imag,
     train,
@@ -53,10 +54,6 @@ __all__ = [
     "SweepRow",
     "SweepResult",
     "Harness",
-    "build_datasets",
-    "run_case_sweep",
-    "best_train_snr_grid",
-    "denoise_analysis",
     "write_results",
     "read_results",
     "write_dataset",
@@ -153,7 +150,7 @@ class ExperimentConfig:
 
     @property
     def set_ids(self) -> list[str]:
-        return ["M1", "M2"] + [f"snr_{s:g}" for s in self.snr_train_db]
+        return ["M1", "M2"] + [self.single_set_id(s) for s in self.snr_train_db]
 
     def single_set_id(self, snr_db: float) -> str:
         return f"snr_{snr_db:g}"
@@ -301,17 +298,9 @@ def read_dataset(path):
         version, samples, in_dim, out_dim = struct.unpack("<IQII", f.read(20))
         if version != DATASET_VERSION:
             raise ValueError(f"{path}: unsupported dataset version {version}")
-
-        def block(dtype, shape, itemsize):
-            count = int(np.prod(shape))
-            buf = f.read(itemsize * count)
-            if len(buf) != itemsize * count:
-                raise ValueError(f"{path}: truncated dataset file")
-            return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-
-        labels = block("<f4", (samples,), 4)
-        inputs = block("<f8", (samples, in_dim), 8)
-        targets = block("<f8", (samples, out_dim), 8)
+        labels = read_block(f, (samples,), path, "dataset", "<f4")
+        inputs = read_block(f, (samples, in_dim), path, "dataset")
+        targets = read_block(f, (samples, out_dim), path, "dataset")
     return labels, inputs, targets
 
 
@@ -394,16 +383,7 @@ def write_rows(rows: list[dict], path, header: list[str] | None = None) -> None:
 
 def write_grid(rows: list[dict], path) -> None:
     """Write a best-training-SNR grid table as CSV."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(GRID_HEADER) + "\n")
-        for row in rows:
-            f.write(
-                ",".join(
-                    _fmt(row[col]) if not isinstance(row[col], bool) else str(int(row[col]))
-                    for col in GRID_HEADER
-                )
-                + "\n"
-            )
+    write_rows(rows, path, GRID_HEADER)
 
 
 # --------------------------------------------------------------------------
@@ -426,21 +406,23 @@ class Harness:
         self.cfg = cfg
         self._models: dict[tuple[int, str], MlpModel] = {}
         self._banks: dict[tuple[int, float], list[_Trial]] = {}
+        self._crbs: dict[tuple[int, float], tuple[float, float]] = {}
         self._offset_covs: dict = {}
         self._model_evals: dict = {}
         self._raw_evals: dict = {}
 
     # -- paths -------------------------------------------------------------
 
-    def dataset_path(self, range_idx: int, set_id: str) -> str:
-        d = os.path.join(self.cfg.output_dir, "datasets", self.cfg.range_tag(range_idx))
+    def _artifact_path(self, kind: str, range_idx: int, set_id: str, ext: str) -> str:
+        d = os.path.join(self.cfg.output_dir, kind, self.cfg.range_tag(range_idx))
         os.makedirs(d, exist_ok=True)
-        return os.path.join(d, f"{set_id}.dset")
+        return os.path.join(d, f"{set_id}.{ext}")
+
+    def dataset_path(self, range_idx: int, set_id: str) -> str:
+        return self._artifact_path("datasets", range_idx, set_id, "dset")
 
     def model_path(self, range_idx: int, set_id: str) -> str:
-        d = os.path.join(self.cfg.output_dir, "models", self.cfg.range_tag(range_idx))
-        os.makedirs(d, exist_ok=True)
-        return os.path.join(d, f"{set_id}.mlp")
+        return self._artifact_path("models", range_idx, set_id, "mlp")
 
     # -- seeding -----------------------------------------------------------
 
@@ -581,6 +563,7 @@ class Harness:
     def _offset_cov(self, range_idx: int, snr_db: float, offset_db: float):
         """Per-trial covariances of the high array re-synthesized at
         snr + offset with the same scenes (fresh noise)."""
+        # spawn() is stateful: an offset's noise depends on which offsets came first.
         key = (range_idx, float(snr_db), float(offset_db))
         if key not in self._offset_covs:
             bank = self.test_bank(range_idx, snr_db)
@@ -621,29 +604,43 @@ class Harness:
     def _truths_deg(self, bank) -> np.ndarray:
         return np.vstack([np.rad2deg(t.scene.angles_rad) for t in bank])
 
+    def _mean_crbs(self, range_idx: int, snr_db: float) -> tuple[float, float]:
+        """Trial-averaged (low, high) CRB diagonals of one test bank."""
+        key = (range_idx, float(snr_db))
+        if key not in self._crbs:
+            bank = self.test_bank(range_idx, snr_db)
+            sigma2 = snr_to_noise_var(snr_db)
+            self._crbs[key] = tuple(
+                float(np.mean([
+                    float(np.mean(crb(t.scene.angles_rad, t.scene.rcs, sigma2, arr).diagonal_rad2))
+                    for t in bank
+                ]))
+                for arr in (self.cfg.low, self.cfg.high)
+            )
+        return self._crbs[key]
+
     def eval_raw(self, range_idx: int, snr_db: float) -> dict:
         """Raw low/high MUSIC baselines and trial-averaged CRBs."""
         key = (range_idx, float(snr_db))
         if key not in self._raw_evals:
-            cfg = self.cfg
             bank = self.test_bank(range_idx, snr_db)
             truths = self._truths_deg(bank)
             mse_low, _ = self._music_mse([t.low for t in bank], truths, range_idx)
             mse_high, high_covs = self._music_mse([t.high for t in bank], truths, range_idx)
-            sigma2 = snr_to_noise_var(snr_db)
-            crb_vals = {"low": [], "high": []}
-            for trial in bank:
-                for name, arr in (("low", cfg.low), ("high", cfg.high)):
-                    res = crb(trial.scene.angles_rad, trial.scene.rcs, sigma2, arr)
-                    crb_vals[name].append(float(np.mean(res.diagonal_rad2)))
+            crb_low, crb_high = self._mean_crbs(range_idx, snr_db)
             self._raw_evals[key] = {
                 "mse_low": mse_low,
                 "mse_high": mse_high,
-                "crb_low": float(np.mean(crb_vals["low"])),
-                "crb_high": float(np.mean(crb_vals["high"])),
+                "crb_low": crb_low,
+                "crb_high": crb_high,
                 "high_covs": high_covs,
             }
         return self._raw_evals[key]
+
+    def _predict_bank(self, range_idx: int, set_id: str, snr_db: float) -> list[SnapshotBlock]:
+        """Emulated high-array blocks for every trial of a test bank."""
+        model = self.ensure_model(range_idx, set_id)
+        return [predict(model, t.low, self.cfg.high) for t in self.test_bank(range_idx, snr_db)]
 
     def eval_model(self, range_idx: int, set_id: str, snr_db: float) -> dict:
         """Evaluate one trained set at one test SNR: emulated DOA MSE plus
@@ -651,36 +648,24 @@ class Harness:
         key = (range_idx, set_id, float(snr_db))
         if key not in self._model_evals:
             cfg = self.cfg
-            model = self.ensure_model(range_idx, set_id)
-            bank = self.test_bank(range_idx, snr_db)
-            truths = self._truths_deg(bank)
-            preds = [predict(model, t.low, cfg.high) for t in bank]
+            preds = self._predict_bank(range_idx, set_id, snr_db)
+            truths = self._truths_deg(self.test_bank(range_idx, snr_db))
             mse, pred_covs = self._music_mse(preds, truths, range_idx)
-            raw = self.eval_raw(range_idx, snr_db)
-            r_e = float(
-                np.mean(
-                    [cov_error(hc, pc) for hc, pc in zip(raw["high_covs"], pred_covs)]
-                )
-            )
             offset = cfg.denoise_offsets_db[0] if cfg.denoise_offsets_db else 0.0
-            r_off = self.r_offset(range_idx, set_id, snr_db, offset, pred_covs)
             self._model_evals[key] = {
                 "mse": mse,
-                "r_e": r_e,
-                "r_offset": r_off,
-                "pred_covs": pred_covs,
+                "r_e": self.r_offset(range_idx, snr_db, 0.0, pred_covs),
+                "r_offset": self.r_offset(range_idx, snr_db, offset, pred_covs),
             }
         return self._model_evals[key]
 
-    def r_offset(self, range_idx, set_id, snr_db, offset_db, pred_covs=None) -> float:
+    def r_offset(self, range_idx, snr_db, offset_db, pred_covs) -> float:
         """Mean relative covariance error against the high array at an SNR offset."""
         if offset_db == 0.0:
             # Zero offset reduces to the plain covariance error.
             ref_covs = self.eval_raw(range_idx, snr_db)["high_covs"]
         else:
             ref_covs = self._offset_cov(range_idx, snr_db, offset_db)
-        if pred_covs is None:
-            pred_covs = self.eval_model(range_idx, set_id, snr_db)["pred_covs"]
         return float(
             np.mean([cov_error(rc, pc) for rc, pc in zip(ref_covs, pred_covs)])
         )
@@ -702,6 +687,18 @@ class Harness:
             r_offset=r_off,
         )
 
+    def _model_row(self, range_idx, set_id, snr_db) -> SweepRow:
+        ev = self.eval_model(range_idx, set_id, snr_db)
+        return self._row(range_idx, set_id, snr_db, ev["mse"], ev["r_e"], ev["r_offset"])
+
+    def set_sweep(self, set_id: str) -> SweepResult:
+        """One trained set over every angle range and test SNR."""
+        return SweepResult(rows=[
+            self._model_row(r, set_id, snr)
+            for r in range(len(self.cfg.angle_ranges_deg))
+            for snr in self.cfg.snr_test_db
+        ])
+
     def run_case_sweep(self, case: str) -> SweepResult:
         """One protocol case over every angle range and test SNR.
 
@@ -713,34 +710,24 @@ class Harness:
             raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
         if self.cfg.trials < 1:
             raise ValueError("configuration yields zero test trials")
+        if case == "mixed_M1":
+            return self.set_sweep("M1")
         cfg = self.cfg
         rows = []
         for r in range(len(cfg.angle_ranges_deg)):
             for snr in cfg.snr_test_db:
-                if case == "raw_low":
-                    rows.append(self._row(r, "raw_low", snr, self.eval_raw(r, snr)["mse_low"]))
-                elif case == "raw_high":
-                    rows.append(self._row(r, "raw_high", snr, self.eval_raw(r, snr)["mse_high"]))
-                elif case == "mixed_M1":
-                    ev = self.eval_model(r, "M1", snr)
-                    rows.append(self._row(r, "M1", snr, ev["mse"], ev["r_e"], ev["r_offset"]))
+                if case in ("raw_low", "raw_high"):
+                    mse = self.eval_raw(r, snr)["mse_" + case.removeprefix("raw_")]
+                    rows.append(self._row(r, case, snr, mse))
                 elif case == "matched_snr":
                     if float(snr) not in [float(s) for s in cfg.snr_train_db]:
                         raise ValueError(
                             f"matched_snr case needs a training set at {snr} dB"
                         )
-                    sid = cfg.single_set_id(snr)
-                    ev = self.eval_model(r, sid, snr)
-                    rows.append(self._row(r, sid, snr, ev["mse"], ev["r_e"], ev["r_offset"]))
-                else:  # best_of_all
-                    best_sid, best_ev = None, None
-                    for sid in cfg.set_ids:
-                        ev = self.eval_model(r, sid, snr)
-                        if best_ev is None or ev["mse"] < best_ev["mse"]:
-                            best_sid, best_ev = sid, ev
-                    rows.append(
-                        self._row(r, best_sid, snr, best_ev["mse"], best_ev["r_e"], best_ev["r_offset"])
-                    )
+                    rows.append(self._model_row(r, cfg.single_set_id(snr), snr))
+                else:  # best_of_all; min keeps the first of equal MSEs
+                    best = min(cfg.set_ids, key=lambda sid: self.eval_model(r, sid, snr)["mse"])
+                    rows.append(self._model_row(r, best, snr))
         return SweepResult(rows=rows)
 
     def best_train_snr_grid(self) -> list[dict]:
@@ -754,7 +741,7 @@ class Harness:
                     self.eval_model(r, cfg.single_set_id(s), snr_test)["mse"]
                     for s in cfg.snr_train_db
                 ]
-                order = np.argsort(mses, kind="stable")
+                order = [int(i) for i in np.argsort(mses, kind="stable")]
                 best, second = order[0], (order[1] if len(order) > 1 else -1)
                 for i, snr_train in enumerate(cfg.snr_train_db):
                     rows.append(
@@ -777,19 +764,13 @@ class Harness:
         rows = []
         for r in range(len(cfg.angle_ranges_deg)):
             for snr in cfg.snr_test_db:
-                bank = self.test_bank(r, snr)
-                sigma2 = snr_to_noise_var(snr)
-                vals = {"low": [], "high": []}
-                for trial in bank:
-                    for name, arr in (("low", cfg.low), ("high", cfg.high)):
-                        res = crb(trial.scene.angles_rad, trial.scene.rcs, sigma2, arr)
-                        vals[name].append(float(np.mean(res.diagonal_rad2)))
+                crb_low, crb_high = self._mean_crbs(r, snr)
                 rows.append(
                     {
                         "angle_range": cfg.range_tag(r),
                         "test_snr_db": float(snr),
-                        "crb_low_rad2": float(np.mean(vals["low"])),
-                        "crb_high_rad2": float(np.mean(vals["high"])),
+                        "crb_low_rad2": crb_low,
+                        "crb_high_rad2": crb_high,
                     }
                 )
         return rows
@@ -805,34 +786,14 @@ class Harness:
             for kind in ("M2", "matched"):
                 for snr in cfg.snr_test_db:
                     sid = "M2" if kind == "M2" else cfg.single_set_id(snr)
-                    ev = self.eval_model(r, sid, snr)
                     row = {
                         "angle_range": cfg.range_tag(r),
                         "model": kind,
                         "test_snr_db": float(snr),
-                        "r_e": ev["r_e"],
+                        "r_e": self.eval_model(r, sid, snr)["r_e"],
                     }
+                    pred_covs = [sample_covariance(b) for b in self._predict_bank(r, sid, snr)]
                     for off in offsets_db:
-                        row[f"r_offset_{off:g}"] = self.r_offset(
-                            r, sid, snr, off, ev["pred_covs"]
-                        )
+                        row[f"r_offset_{off:g}"] = self.r_offset(r, snr, off, pred_covs)
                     rows.append(row)
         return rows
-
-
-# Thin functional wrappers over a fresh Harness, for one-shot use.
-
-def build_datasets(cfg: ExperimentConfig) -> list[str]:
-    return Harness(cfg).build_datasets()
-
-
-def run_case_sweep(cfg: ExperimentConfig, case: str) -> SweepResult:
-    return Harness(cfg).run_case_sweep(case)
-
-
-def best_train_snr_grid(cfg: ExperimentConfig) -> list[dict]:
-    return Harness(cfg).best_train_snr_grid()
-
-
-def denoise_analysis(cfg: ExperimentConfig, offsets_db=None) -> list[dict]:
-    return Harness(cfg).denoise_analysis(offsets_db)

@@ -18,7 +18,6 @@ from .music import CovarianceEstimate
 __all__ = [
     "CrbResult",
     "cov_error",
-    "cov_error_offset",
     "steering_derivative",
     "crb",
 ]
@@ -43,11 +42,6 @@ def cov_error(r_ref: CovarianceEstimate, r_pre: CovarianceEstimate) -> float:
     if denom == 0:
         raise ValueError("reference covariance has zero norm")
     return float(np.linalg.norm(a - b) / denom)
-
-
-def cov_error_offset(r_offset_ref: CovarianceEstimate, r_pre: CovarianceEstimate) -> float:
-    """Same relative error, but against a reference captured at an SNR offset."""
-    return cov_error(r_offset_ref, r_pre)
 
 
 def steering_derivative(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:

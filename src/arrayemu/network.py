@@ -37,6 +37,7 @@ __all__ = [
     "predict",
     "save_model",
     "load_model",
+    "read_block",
 ]
 
 MODEL_MAGIC = b"AEMU-MLP"
@@ -400,6 +401,17 @@ def save_model(model: MlpModel, path) -> None:
             f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
 
 
+def read_block(f, shape, path, kind: str, dtype: str = "<f8") -> np.ndarray:
+    """Read one little-endian array of ``shape`` from the open file ``f``;
+    a short read raises ``ValueError("<path>: truncated <kind> file")``."""
+    dt = np.dtype(dtype)
+    nbytes = dt.itemsize * int(np.prod(shape))
+    buf = f.read(nbytes)
+    if len(buf) != nbytes:
+        raise ValueError(f"{path}: truncated {kind} file")
+    return np.frombuffer(buf, dtype=dt).reshape(shape).copy()
+
+
 def load_model(path) -> MlpModel:
     """Read a model file written by save_model; bit-exact round trip."""
     with open(path, "rb") as f:
@@ -413,19 +425,12 @@ def load_model(path) -> MlpModel:
         (act_flag,) = struct.unpack("<B", f.read(1))
         activation = ACTIVATIONS[act_flag]
 
-        def read_array(shape):
-            count = int(np.prod(shape))
-            buf = f.read(8 * count)
-            if len(buf) != 8 * count:
-                raise ValueError(f"{path}: truncated model file")
-            return np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-
-        norm_in = read_array((dims[0], 2))
-        norm_out = read_array((dims[-1], 2))
+        norm_in = read_block(f, (dims[0], 2), path, "model")
+        norm_out = read_block(f, (dims[-1], 2), path, "model")
         weights, biases = [], []
         for i in range(n_dims - 1):
-            weights.append(read_array((dims[i + 1], dims[i])))
-            biases.append(read_array((dims[i + 1],)))
+            weights.append(read_block(f, (dims[i + 1], dims[i]), path, "model"))
+            biases.append(read_block(f, (dims[i + 1],), path, "model"))
     return MlpModel(
         layer_dims=dims,
         weights=weights,

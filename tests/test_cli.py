@@ -1,3 +1,4 @@
+import csv
 import os
 
 import pytest
@@ -75,3 +76,31 @@ def test_sweep_and_override(tmp_path):
     content = (tmp_path / "out" / "results" / "sweep_raw_low.csv").read_text()
     assert content.startswith("angle_range,train_set_id,test_snr_db,doa_mse_rad2")
     assert content.count("\n") == 4  # header + 3 test SNRs
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("trained")
+    cfg = write_tiny_config(tmp_path)
+    assert main(["train", "--config", str(cfg)]) == 0
+    return cfg, tmp_path / "out" / "results"
+
+
+def test_eval_writes_the_mixed_m1_sweep(trained):
+    cfg, results = trained
+    assert main(["eval", "--config", str(cfg), "--train-set", "M1"]) == 0
+    assert main(["sweep", "--config", str(cfg), "--case", "mixed_M1"]) == 0
+    evaluated = (results / "eval_M1.csv").read_bytes()
+    assert evaluated.count(b"\n") == 4  # header + 3 test SNRs
+    assert evaluated == (results / "sweep_mixed_M1.csv").read_bytes()
+
+
+def test_grid_flags_are_0_or_1(trained):
+    cfg, results = trained
+    assert main(["grid", "--config", str(cfg)]) == 0
+    with open(results / "grid.csv", newline="", encoding="utf-8") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 9
+    for col in ("is_best", "is_second_best", "within_10pct"):
+        assert {row[col] for row in rows} <= {"0", "1"}, col
+    assert sum(row["is_best"] == "1" for row in rows) == 3

@@ -6,6 +6,7 @@ import pytest
 
 from arrayemu.arrays import ArrayConfig
 from arrayemu.harness import (
+    DATASET_MAGIC,
     ExperimentConfig,
     Harness,
     SweepResult,
@@ -110,6 +111,15 @@ class TestDatasetFiles:
         with pytest.raises(ValueError):
             read_dataset(path)
 
+    @pytest.mark.parametrize("keep", [len(DATASET_MAGIC) + 20 + 4, -1])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        """Cut inside the label block and inside the last (target) block."""
+        path = tmp_path / "cut.dset"
+        write_dataset(path, np.zeros(2, dtype=np.float32), np.ones((2, 4)), np.ones((2, 6)))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match="truncated dataset file"):
+            read_dataset(path)
+
 
 class TestDatasetBuild:
     def test_build_counts_and_uniform_mix(self, tmp_path):
@@ -204,10 +214,18 @@ class TestTrainingAndEval:
             assert best["within_10pct"]
 
     def test_denoise_offset_zero_equals_r_e(self, harness):
-        rows = harness.denoise_analysis(offsets_db=[0.0])
+        """Denoising recomputes the predictions; its r_offset at the configured
+        offset must equal the one cached when the model was evaluated."""
+        cfg = harness.cfg
+        first = cfg.denoise_offsets_db[0]
+        rows = harness.denoise_analysis(offsets_db=[0.0, first])
+        assert len(rows) == 2 * len(cfg.snr_test_db)
         for row in rows:
             assert row["r_offset_0"] == pytest.approx(row["r_e"], rel=1e-12)
             assert row["r_e"] >= 0
+            snr = row["test_snr_db"]
+            sid = "M2" if row["model"] == "M2" else cfg.single_set_id(snr)
+            assert row[f"r_offset_{first:g}"] == harness.eval_model(0, sid, snr)["r_offset"]
 
     def test_crb_table(self, harness):
         rows = harness.crb_table()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from arrayemu.arrays import ArrayConfig, draw_rcs, draw_scene, virtual_steering
-from arrayemu.metrics import cov_error, cov_error_offset, crb, steering_derivative
+from arrayemu.metrics import cov_error, crb, steering_derivative
 from arrayemu.music import CovarianceEstimate
 
 
@@ -36,10 +36,6 @@ class TestCovError:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cov_error(random_cov(3, 4), random_cov(4, 4))
-
-    def test_offset_variant_same_formula(self):
-        a, b = random_cov(4, 5), random_cov(4, 6)
-        assert cov_error_offset(a, b) == cov_error(a, b)
 
 
 class TestSteeringDerivative:

@@ -304,3 +304,12 @@ class TestSerialization:
         path.write_bytes(b"not a model at all")
         with pytest.raises(ValueError):
             load_model(path)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        x = np.random.default_rng(4).uniform(-1, 1, size=(2, 40))
+        model, _ = train(x, x, TrainConfig(epochs=1, batch_size=10, split=(0.75, 0.25, 0.0)))
+        path = tmp_path / "cut.mlp"
+        save_model(model, path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="truncated model file"):
+            load_model(path)
