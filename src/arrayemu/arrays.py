@@ -123,28 +123,40 @@ class SnapshotBlock:
         return self.data.shape[1]
 
 
-def _check_angle(theta_rad: float) -> None:
-    if not abs(theta_rad) < np.pi / 2:
-        raise ValueError(f"angle {theta_rad} rad outside (-pi/2, pi/2)")
+def _check_angle(theta_rad) -> None:
+    """Reject any angle (scalar or array) outside (-pi/2, pi/2), NaN included."""
+    bad = ~(np.abs(theta_rad) < np.pi / 2)
+    if np.any(bad):
+        first = np.asarray(theta_rad)[bad].flat[0]
+        raise ValueError(f"angle {first} rad outside (-pi/2, pi/2)")
+
+
+def _ula(count: int, theta_rad, cfg: ArrayConfig) -> np.ndarray:
+    """ULA phase law exp(j*2*pi*(d/lambda)*k*sin(theta)), k = 0..count-1.
+
+    Element index runs down the rows; an array of angles adds trailing axes.
+    """
+    # Form the per-element phase step first, then multiply by sin(theta);
+    # grouping it as c * (k * sin(theta)) changes the low bits of the result.
+    phase_step = 1j * 2 * np.pi * cfg.spacing_wavelengths * np.arange(count)
+    return np.exp(np.multiply.outer(phase_step, np.sin(theta_rad)))
 
 
 def steering_tx(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
     """Transmit steering vector: element m is exp(j*2*pi*(d/lambda)*m*sin(theta))."""
     _check_angle(theta_rad)
-    m = np.arange(cfg.tx_count)
-    return np.exp(1j * 2 * np.pi * cfg.spacing_wavelengths * m * np.sin(theta_rad))
+    return _ula(cfg.tx_count, theta_rad, cfg)
 
 
 def steering_rx(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
     """Receive steering vector of length rx_count; same phase law as steering_tx."""
     _check_angle(theta_rad)
-    n = np.arange(cfg.rx_count)
-    return np.exp(1j * 2 * np.pi * cfg.spacing_wavelengths * n * np.sin(theta_rad))
+    return _ula(cfg.rx_count, theta_rad, cfg)
 
 
 def virtual_steering(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
     """Virtual-array steering vector kron(a_tx, a_rx), TX index major."""
-    return np.kron(steering_tx(theta_rad, cfg), steering_rx(theta_rad, cfg))
+    return steering_matrix([theta_rad], cfg)[:, 0]
 
 
 def steering_matrix(angles_rad, cfg: ArrayConfig) -> np.ndarray:
@@ -152,7 +164,10 @@ def steering_matrix(angles_rad, cfg: ArrayConfig) -> np.ndarray:
     angles_rad = np.atleast_1d(np.asarray(angles_rad, dtype=float))
     if angles_rad.size == 0:
         raise ValueError("steering_matrix needs at least one angle")
-    return np.column_stack([virtual_steering(t, cfg) for t in angles_rad])
+    _check_angle(angles_rad)
+    tx = _ula(cfg.tx_count, angles_rad, cfg)
+    rx = _ula(cfg.rx_count, angles_rad, cfg)
+    return (tx[:, None, :] * rx[None, :, :]).reshape(cfg.virtual_size, -1)
 
 
 def draw_rcs(k: int, pulses: int, rng) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Command-line entry point binding config files to harness operations.
 
 Verbs: gen-data, train, eval, sweep, grid, denoise, crb, demo.  All verbs
-share ``--config``, repeatable ``--set KEY=VALUE`` overrides, ``--seed``,
-``--workers`` and ``--out``; results land in the configured output
-directory.  Exit status: 0 success, 1 runtime failure, 2 usage error.
+share ``--config``, repeatable ``--set KEY=VALUE`` overrides, ``--seed``
+and ``--out``; results land in the configured output directory.  Exit
+status: 0 success, 1 runtime failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="override a config key (repeatable)",
         )
         p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--workers", type=int, help="worker count for trial evaluation")
         p.add_argument("--out", help="override the output directory")
         if verb == "eval":
             p.add_argument("--train-set", default="M1", help="training set id to evaluate")
@@ -82,8 +81,6 @@ def _load_config(args) -> ExperimentConfig:
         cfg = config_from_items(overrides)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
     return cfg

@@ -14,8 +14,6 @@ tables are reproducible byte for byte.
 from __future__ import annotations
 
 import os
-import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -63,6 +61,8 @@ __all__ = [
 
 DATASET_MAGIC = b"AEMU-DSET"
 DATASET_VERSION = 1
+# Packed little-endian (version, samples, input dim, target dim).
+DATASET_HEADER = "<u4,<u8,<u4,<u4"
 
 CASES = ("mixed_M1", "matched_snr", "best_of_all", "raw_low", "raw_high")
 
@@ -122,7 +122,6 @@ class ExperimentConfig:
     grid_step_deg: float = 0.1
     grid_pad_deg: float = 5.0
     denoise_offsets_db: list[float] = field(default_factory=lambda: [8.0, 12.0])
-    workers: int = 1
     seed: int = 0
     output_dir: str = "arrayemu_out"
 
@@ -143,6 +142,10 @@ class ExperimentConfig:
                 )
         if self.output_activation not in ("linear", "relu", "both"):
             raise ValueError(f"unknown output_activation {self.output_activation!r}")
+        ids = self.set_ids
+        dupes = sorted({sid for sid in ids if ids.count(sid) > 1})
+        if dupes:
+            raise ValueError(f"snr_train_db gives duplicate training set ids: {dupes}")
 
     @property
     def trials(self) -> int:
@@ -213,7 +216,6 @@ CONFIG_KEYS = {
     "grid_step_deg": float,
     "grid_pad_deg": float,
     "denoise_offsets_db": _parse_float_list,
-    "workers": int,
     "seed": int,
     "output_dir": str,
 }
@@ -283,7 +285,8 @@ def write_dataset(path, snr_labels, inputs, targets) -> None:
         raise ValueError("inconsistent dataset block shapes")
     with open(path, "wb") as f:
         f.write(DATASET_MAGIC)
-        f.write(struct.pack("<IQII", DATASET_VERSION, x.shape[0], x.shape[1], t.shape[1]))
+        header = (DATASET_VERSION, x.shape[0], x.shape[1], t.shape[1])
+        f.write(np.array(header, dtype=DATASET_HEADER).tobytes())
         f.write(labels.tobytes())
         f.write(x.tobytes())
         f.write(t.tobytes())
@@ -295,7 +298,8 @@ def read_dataset(path):
         magic = f.read(len(DATASET_MAGIC))
         if magic != DATASET_MAGIC:
             raise ValueError(f"{path}: not an emulator dataset file")
-        version, samples, in_dim, out_dim = struct.unpack("<IQII", f.read(20))
+        header = read_block(f, (), path, "dataset", DATASET_HEADER)
+        version, samples, in_dim, out_dim = header.item()
         if version != DATASET_VERSION:
             raise ValueError(f"{path}: unsupported dataset version {version}")
         labels = read_block(f, (samples,), path, "dataset", "<f4")
@@ -585,21 +589,14 @@ class Harness:
         grid = cfg.spectrum_grid(range_idx)
         k = cfg.num_targets
 
-        def one(block):
+        estimates, covs = [], []
+        for block in blocks:
             cov = sample_covariance(block)
             un = noise_subspace(hermitian_eig(cov), k)
-            spec = music_spectrum(un, block.array, grid)
-            angles, _ = pick_peaks(spec, k)
-            return angles, cov
-
-        if cfg.workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(one, blocks))
-        else:
-            results = [one(b) for b in blocks]
-        estimates = np.vstack([r[0] for r in results])
-        covs = [r[1] for r in results]
-        return doa_mse(estimates, truths_deg), covs
+            angles, _ = pick_peaks(music_spectrum(un, block.array, grid), k)
+            estimates.append(angles)
+            covs.append(cov)
+        return doa_mse(np.vstack(estimates), truths_deg), covs
 
     def _truths_deg(self, bank) -> np.ndarray:
         return np.vstack([np.rad2deg(t.scene.angles_rad) for t in bank])

@@ -44,18 +44,21 @@ def cov_error(r_ref: CovarianceEstimate, r_pre: CovarianceEstimate) -> float:
     return float(np.linalg.norm(a - b) / denom)
 
 
+def _derivative_factor(theta_rad, cfg: ArrayConfig) -> np.ndarray:
+    """j * 2*pi*(d/lambda) * (m + n) * cos(theta), TX-major rows; an array
+    of angles adds trailing axes, matching steering_matrix's columns."""
+    m_plus_n = np.add.outer(np.arange(cfg.tx_count), np.arange(cfg.rx_count)).ravel()
+    factor = 1j * 2 * np.pi * cfg.spacing_wavelengths * np.cos(theta_rad)
+    return np.multiply.outer(m_plus_n, factor)
+
+
 def steering_derivative(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
     """Analytic d v(theta)/d theta for the virtual steering vector.
 
     With v laid out TX-major, the (m, n) element picks up the factor
     j * 2*pi*(d/lambda) * (m + n) * cos(theta).
     """
-    v = virtual_steering(theta_rad, cfg)
-    m_plus_n = np.add.outer(
-        np.arange(cfg.tx_count), np.arange(cfg.rx_count)
-    ).ravel()
-    factor = 1j * 2 * np.pi * cfg.spacing_wavelengths * np.cos(theta_rad)
-    return factor * m_plus_n * v
+    return _derivative_factor(theta_rad, cfg) * virtual_steering(theta_rad, cfg)
 
 
 def crb(angles_rad, x: np.ndarray, sigma2: float, cfg: ArrayConfig) -> CrbResult:
@@ -77,7 +80,7 @@ def crb(angles_rad, x: np.ndarray, sigma2: float, cfg: ArrayConfig) -> CrbResult
     gram = a.conj().T @ a
     if np.linalg.cond(gram) > _COND_LIMIT:
         raise ValueError("steering matrix is rank deficient (coincident angles?)")
-    ae = np.column_stack([steering_derivative(t, cfg) for t in angles_rad])
+    ae = _derivative_factor(angles_rad, cfg) * a
     mn = a.shape[0]
     proj = np.eye(mn) - a @ np.linalg.solve(gram, a.conj().T)
     fisher = np.real((ae.conj().T @ proj @ ae) * (x @ x.conj().T).T)

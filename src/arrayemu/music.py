@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, SnapshotBlock, virtual_steering
+from .arrays import ArrayConfig, SnapshotBlock, steering_matrix
 
 __all__ = [
     "CovarianceEstimate",
@@ -113,7 +113,7 @@ def music_spectrum(un: np.ndarray, cfg: ArrayConfig, grid) -> SpectrumResult:
     if un.ndim != 2 or un.shape[1] < 1:
         raise ValueError("noise subspace must have at least one column")
     grid_deg = lo + step * np.arange(npts)
-    v = np.column_stack([virtual_steering(t, cfg) for t in np.deg2rad(grid_deg)])
+    v = steering_matrix(np.deg2rad(grid_deg), cfg)
     denom = np.sum(np.abs(un.conj().T @ v) ** 2, axis=0)
     denom = np.maximum(denom, DENOM_FLOOR)
     return SpectrumResult(grid_deg=grid_deg, values=1.0 / denom)

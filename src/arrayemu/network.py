@@ -418,11 +418,15 @@ def load_model(path) -> MlpModel:
         magic = f.read(len(MODEL_MAGIC))
         if magic != MODEL_MAGIC:
             raise ValueError(f"{path}: not an emulator model file")
-        version, n_dims = struct.unpack("<II", f.read(8))
+        version, n_dims = read_block(f, (2,), path, "model", "<u4").tolist()
         if version != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model format version {version}")
-        dims = list(struct.unpack(f"<{n_dims}I", f.read(4 * n_dims)))
-        (act_flag,) = struct.unpack("<B", f.read(1))
+        if n_dims < 2:
+            raise ValueError(f"{path}: model needs at least 2 layer sizes, got {n_dims}")
+        dims = read_block(f, (n_dims,), path, "model", "<u4").tolist()
+        act_flag = int(read_block(f, (), path, "model", "u1"))
+        if act_flag >= len(ACTIVATIONS):
+            raise ValueError(f"{path}: unknown output activation flag {act_flag}")
         activation = ACTIVATIONS[act_flag]
 
         norm_in = read_block(f, (dims[0], 2), path, "model")

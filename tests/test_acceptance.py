@@ -44,6 +44,9 @@ from arrayemu.arrays import virtual_steering
 import conftest
 from oracles import fd_gradients, jacobi_eigvals
 
+# Deselect with `pytest -m "not acceptance"` for the fast loop.
+pytestmark = pytest.mark.acceptance
+
 LOW = ArrayConfig(4, 4)
 HIGH = ArrayConfig(8, 8)
 ANGLE_RANGES = [(0.0, 25.0), (20.0, 45.0), (40.0, 65.0)]

@@ -106,6 +106,29 @@ class TestSteeringMatrix:
         with pytest.raises(ValueError):
             steering_matrix([], ArrayConfig(2, 2))
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [ArrayConfig(4, 4), ArrayConfig(8, 8), ArrayConfig(2, 3, 0.37), ArrayConfig(5, 2, 1.3)],
+    )
+    def test_bit_identical_to_per_angle_kron(self, cfg):
+        """The broadcast equals the kron of the per-angle TX/RX vectors
+        bit for bit, not just within rounding."""
+        rng = np.random.default_rng(7)
+        angles = np.concatenate([rng.uniform(-1.57, 1.57, 200), deg(np.arange(35.0, 70.05, 0.1))])
+        kron = np.column_stack(
+            [np.kron(steering_tx(t, cfg), steering_rx(t, cfg)) for t in angles]
+        )
+        assert np.array_equal(steering_matrix(angles, cfg), kron)
+        assert np.array_equal(virtual_steering(angles[3], cfg), kron[:, 3])
+
+    @pytest.mark.parametrize("bad", [np.pi / 2, -np.pi / 2, np.nan])
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_endfire_or_nan_anywhere_rejected(self, bad, pos):
+        angles = [0.1, -0.3, 0.5]
+        angles[pos] = bad
+        with pytest.raises(ValueError, match="outside"):
+            steering_matrix(angles, ArrayConfig(2, 3))
+
 
 class TestDrawRcs:
     def test_mean_power_is_unity(self):

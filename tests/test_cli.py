@@ -58,6 +58,23 @@ def test_eval_missing_model_exits_1(tmp_path, capsys):
     assert "snr_0" in capsys.readouterr().err
 
 
+def test_train_on_dataset_cut_in_header_exits_1(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)
+    datasets = tmp_path / "out" / "datasets" / "range_0_25"
+    datasets.mkdir(parents=True)
+    (datasets / "snr_0.dset").write_bytes(b"AEMU-DSET" + b"\x01\x00")
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("arrayemu: error:")
+    assert "snr_0.dset: truncated dataset file" in err
+
+
+def test_workers_is_an_unknown_config_key(tmp_path):
+    cfg = write_tiny_config(tmp_path)
+    assert main(["crb", "--config", str(cfg), "--set", "workers=2"]) == 2
+    assert main(["crb", "--config", str(cfg), "--workers", "2"]) == 2
+
+
 def test_gen_data_and_crb(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     assert main(["gen-data", "--config", str(cfg)]) == 0

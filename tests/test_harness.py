@@ -57,6 +57,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config(tmp_path, m1_samples=100)
 
+    def test_duplicate_set_ids_rejected(self, tmp_path):
+        # Both SNRs print as "snr_1" under the set-id format.
+        with pytest.raises(ValueError, match="duplicate training set ids: \\['snr_1'\\]"):
+            tiny_config(tmp_path, snr_train_db=[1.0, 1.0000001, 5.0])
+
     def test_set_ids(self, tmp_path):
         cfg = tiny_config(tmp_path)
         assert cfg.set_ids == ["M1", "M2", "snr_-5", "snr_0", "snr_5"]
@@ -111,9 +116,9 @@ class TestDatasetFiles:
         with pytest.raises(ValueError):
             read_dataset(path)
 
-    @pytest.mark.parametrize("keep", [len(DATASET_MAGIC) + 20 + 4, -1])
+    @pytest.mark.parametrize("keep", [len(DATASET_MAGIC) + 2, len(DATASET_MAGIC) + 20 + 4, -1])
     def test_truncated_file_rejected(self, tmp_path, keep):
-        """Cut inside the label block and inside the last (target) block."""
+        """Cut inside the header, the label block and the last (target) block."""
         path = tmp_path / "cut.dset"
         write_dataset(path, np.zeros(2, dtype=np.float32), np.ones((2, 4)), np.ones((2, 6)))
         path.write_bytes(path.read_bytes()[:keep])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from arrayemu.arrays import ArrayConfig, draw_rcs, draw_scene, virtual_steering
-from arrayemu.metrics import cov_error, crb, steering_derivative
+from arrayemu.arrays import ArrayConfig, draw_rcs, draw_scene, steering_matrix, virtual_steering
+from arrayemu.metrics import _derivative_factor, cov_error, crb, steering_derivative
 from arrayemu.music import CovarianceEstimate
 
 
@@ -89,3 +89,15 @@ class TestCrb:
     def test_rcs_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
             crb([0.1, 0.5], np.ones((1, 3)), 1.0, self.cfg)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ArrayConfig(2, 2), ArrayConfig(8, 8), ArrayConfig(3, 4, 0.37), ArrayConfig(2, 5, 1.3)],
+    )
+    def test_derivative_columns_bit_identical(self, cfg):
+        """crb's broadcast derivative columns equal steering_derivative per
+        angle exactly, so the bound matches one built column by column."""
+        angles = np.deg2rad([-61.3, -7.0, 0.0, 12.25, 44.4, 80.9])
+        a = steering_matrix(angles, cfg)
+        columns = np.column_stack([steering_derivative(t, cfg) for t in angles])
+        assert np.array_equal(_derivative_factor(angles, cfg) * a, columns)

@@ -159,6 +159,11 @@ class TestMusicSpectrum:
         with pytest.raises(ValueError):
             music_spectrum(np.eye(4)[:, :2], ArrayConfig(2, 2), (0, 10, -1))
 
+    @pytest.mark.parametrize("grid", [(60.0, 90.0, 0.5), (-90.0, 0.0, 1.0)])
+    def test_grid_reaching_endfire_rejected(self, grid):
+        with pytest.raises(ValueError, match="outside"):
+            music_spectrum(np.eye(4)[:, :2], ArrayConfig(2, 2), grid)
+
 
 class TestPickPeaks:
     def test_two_peak_synthetic(self):

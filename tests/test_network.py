@@ -3,6 +3,7 @@ import pytest
 
 from arrayemu.arrays import ArrayConfig, SnapshotBlock
 from arrayemu.network import (
+    MODEL_MAGIC,
     MlpModel,
     OptimizerState,
     TrainConfig,
@@ -305,11 +306,42 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_model(path)
 
-    def test_truncated_file_rejected(self, tmp_path):
+    @staticmethod
+    def saved_model(path):
         x = np.random.default_rng(4).uniform(-1, 1, size=(2, 40))
         model, _ = train(x, x, TrainConfig(epochs=1, batch_size=10, split=(0.75, 0.25, 0.0)))
-        path = tmp_path / "cut.mlp"
         save_model(model, path)
-        path.write_bytes(path.read_bytes()[:-1])
+        return path.read_bytes()
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = tmp_path / "cut.mlp"
+        path.write_bytes(self.saved_model(path)[:-1])
         with pytest.raises(ValueError, match="truncated model file"):
+            load_model(path)
+
+    # The header: magic, version and layer count (2 x u4), layer sizes (u4
+    # each), output-activation flag (u1); the float64 blocks follow.
+    @pytest.mark.parametrize("keep", [len(MODEL_MAGIC) + 5, len(MODEL_MAGIC) + 8 + 2])
+    def test_header_cut_rejected(self, tmp_path, keep):
+        """Cut inside the version/count words and inside the layer sizes."""
+        path = tmp_path / "cut.mlp"
+        path.write_bytes(self.saved_model(path)[:keep])
+        with pytest.raises(ValueError, match="truncated model file"):
+            load_model(path)
+
+    def test_too_few_layer_sizes_rejected(self, tmp_path):
+        path = tmp_path / "dims.mlp"
+        data = bytearray(self.saved_model(path))
+        data[len(MODEL_MAGIC) + 4 : len(MODEL_MAGIC) + 8] = (1).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="at least 2 layer sizes, got 1"):
+            load_model(path)
+
+    def test_unknown_activation_flag_rejected(self, tmp_path):
+        path = tmp_path / "flag.mlp"
+        data = bytearray(self.saved_model(path))
+        n_dims = int.from_bytes(data[len(MODEL_MAGIC) + 4 : len(MODEL_MAGIC) + 8], "little")
+        data[len(MODEL_MAGIC) + 8 + 4 * n_dims] = 7
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="unknown output activation flag 7"):
             load_model(path)
