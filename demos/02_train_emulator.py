@@ -45,7 +45,7 @@ print(f"training data: {x.shape[1]} pulse columns, {x.shape[0]} -> {t.shape[0]} 
 config = TrainConfig(epochs=40, batch_size=120, split=(0.75, 0.25, 0.0), seed=0)
 model, history = train(x, t, config)
 print(f"layer dims: {model.layer_dims}")
-print(f"train MSE: first epoch {history['train'][0]:.4f} -> last {history['train'][-1]:.4f}")
+print(f"mean batch loss: first epoch {history['train'][0]:.4f} -> last {history['train'][-1]:.4f}")
 print(f"best validation MSE: {min(history['val']):.4f}")
 
 # Evaluate on an unseen scene: emulate the high array from low-array data

@@ -13,7 +13,6 @@ API boundaries that explicitly say so.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,12 +67,14 @@ class ArrayConfig:
 
     @property
     def max_targets(self) -> int:
-        """Largest target count uniquely identifiable by this setup.
+        """Largest target count MUSIC can resolve with this setup.
 
-        The identifiability interval for a co-located MIMO virtual array is
-        [(2(M+N)-5)/3, 2MN/3); we enforce the exclusive upper end.
+        TX and RX share one spacing, so virtual element (m, n) sits at phase
+        centre m + n: the M*N elements cover only M+N-1 distinct positions,
+        and the steering matrix has rank at most M+N-1.  A noise subspace
+        needs at least one spare dimension, which leaves M+N-2 targets.
         """
-        return math.ceil(2 * self.virtual_size / 3) - 1
+        return self.tx_count + self.rx_count - 2
 
 
 @dataclass(frozen=True)
@@ -198,8 +199,9 @@ def draw_scene(range_deg, k: int, min_sep_deg: float, pulses: int, rng) -> Targe
     rng = _as_rng(rng)
     rejections = 0
     while True:
-        angles = np.sort(rng.uniform(lo, hi, size=k))
-        if k == 1 or np.all(np.diff(angles) >= min_sep_deg):
+        # Plain floats: a K-element numpy sort/diff costs more than the draw.
+        angles = sorted(rng.uniform(lo, hi, size=k).tolist())
+        if all(b - a >= min_sep_deg for a, b in zip(angles, angles[1:])):
             break
         rejections += 1
         if rejections >= MAX_REJECTIONS:

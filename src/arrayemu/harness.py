@@ -39,6 +39,7 @@ from .music import (
 from .network import (
     MlpModel,
     TrainConfig,
+    atomic_write,
     load_model,
     predict,
     read_block,
@@ -139,6 +140,13 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{name} ({size}) must be divisible by the number of "
                     f"training SNRs ({n_snr}) for uniform mixing"
+                )
+        for name, arr in (("low", self.low), ("high", self.high)):
+            if self.num_targets > arr.max_targets:
+                raise ValueError(
+                    f"num_targets ({self.num_targets}) exceeds the identifiability "
+                    f"bound ({arr.max_targets}) of the {arr.tx_count}x{arr.rx_count} "
+                    f"{name} array"
                 )
         if self.output_activation not in ("linear", "relu", "both"):
             raise ValueError(f"unknown output_activation {self.output_activation!r}")
@@ -283,7 +291,7 @@ def write_dataset(path, snr_labels, inputs, targets) -> None:
     t = np.ascontiguousarray(targets, dtype="<f8")
     if x.shape[0] != t.shape[0] or labels.shape != (x.shape[0],):
         raise ValueError("inconsistent dataset block shapes")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(DATASET_MAGIC)
         header = (DATASET_VERSION, x.shape[0], x.shape[1], t.shape[1])
         f.write(np.array(header, dtype=DATASET_HEADER).tobytes())

@@ -12,7 +12,9 @@ so a snapshot block stacks directly into a batch of columns.
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +40,7 @@ __all__ = [
     "save_model",
     "load_model",
     "read_block",
+    "atomic_write",
 ]
 
 MODEL_MAGIC = b"AEMU-MLP"
@@ -231,14 +234,16 @@ def adam_step(
     beta2: float = 0.999,
     epsilon: float = 1e-8,
 ) -> list[np.ndarray]:
-    """One Adam update with bias correction; mutates ``state``, returns the
-    updated parameter list."""
+    """One Adam update with bias correction.
+
+    Updates ``state`` and every array of ``params`` in place, and returns
+    ``params`` itself: the returned arrays are the arrays passed in.
+    """
     for g in grads:
         if not np.all(np.isfinite(g)):
             raise TrainingError("non-finite gradient passed to the optimizer")
     state.step += 1
     t = state.step
-    out = []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m *= beta1
         m += (1 - beta1) * g
@@ -246,8 +251,8 @@ def adam_step(
         v += (1 - beta2) * g**2
         m_hat = m / (1 - beta1**t)
         v_hat = v / (1 - beta2**t)
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + epsilon))
-    return out
+        p -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
+    return params
 
 
 def init_model(
@@ -276,14 +281,18 @@ def default_layer_dims(input_dim: int, output_dim: int) -> list[int]:
     return [input_dim, input_dim, input_dim, output_dim, output_dim]
 
 
-def _flatten_params(model: MlpModel) -> list[np.ndarray]:
-    return list(model.weights) + list(model.biases)
-
-
-def _unflatten_params(model: MlpModel, params: list[np.ndarray]) -> None:
+def _flat_params(model: MlpModel) -> np.ndarray:
+    """Copy every weight and bias into one contiguous float64 buffer and
+    rebind the model's parameters as reshaped views of it."""
+    params = list(model.weights) + list(model.biases)
+    flat = np.concatenate([p.ravel() for p in params])
+    views, start = [], 0
+    for p in params:
+        views.append(flat[start : start + p.size].reshape(p.shape))
+        start += p.size
     n = len(model.weights)
-    model.weights = params[:n]
-    model.biases = params[n:]
+    model.weights, model.biases = views[:n], views[n:]
+    return flat
 
 
 def _mse(model: MlpModel, x: np.ndarray, t: np.ndarray) -> float:
@@ -303,7 +312,9 @@ def train(
     train/validation/held-out parts; the held-out part is not touched here.
     Normalization statistics are fitted on the training part only.  Returns
     the model with the weights of the best-validation epoch together with
-    the per-epoch {"train": [...], "val": [...]} loss history.
+    the per-epoch {"train": [...], "val": [...]} loss history: "train" is
+    the mean of the epoch's batch losses, each taken before its Adam step,
+    and "val" the validation loss measured after the epoch.
     """
     x = np.asarray(inputs, dtype=float)
     t = np.asarray(targets, dtype=float)
@@ -335,33 +346,34 @@ def train(
     model.norm_in = norm_in
     model.norm_out = norm_out
 
-    params = _flatten_params(model)
-    state = OptimizerState.zeros_like(params)
+    flat = _flat_params(model)
+    state = OptimizerState.zeros_like([flat])
     history = {"train": [], "val": []}
     best_val = np.inf
-    best_params = [p.copy() for p in params]
+    best = flat.copy()
 
     n_tr = x_tr.shape[1]
     for _epoch in range(cfg.epochs):
         perm = rng.permutation(n_tr)
+        losses = []
         for start in range(0, n_tr, cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
             gw, gb, loss = mlp_backward(model, x_tr[:, batch], t_tr[:, batch])
             if not np.isfinite(loss):
                 raise TrainingError(f"loss became non-finite at step {state.step}")
-            params = adam_step(
-                state, params, gw + gb, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
+            grad = np.concatenate([g.ravel() for g in gw + gb])
+            adam_step(
+                state, [flat], [grad], cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
             )
-            _unflatten_params(model, params)
-        tr_loss = _mse(model, x_tr, t_tr)
+            losses.append(loss)
         val_loss = _mse(model, x_val, t_val)
-        history["train"].append(tr_loss)
+        history["train"].append(float(np.mean(losses)))
         history["val"].append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
-            best_params = [p.copy() for p in params]
+            best = flat.copy()
 
-    _unflatten_params(model, best_params)
+    flat[:] = best
     return model, history
 
 
@@ -389,7 +401,7 @@ def save_model(model: MlpModel, path) -> None:
     """Write the versioned binary model file (little-endian float64 blocks)."""
     if model.norm_in is None or model.norm_out is None:
         raise ValueError("refusing to save a model without normalization statistics")
-    with open(path, "wb") as f:
+    with atomic_write(path) as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<II", MODEL_VERSION, len(model.layer_dims)))
         f.write(struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims))
@@ -399,6 +411,23 @@ def save_model(model: MlpModel, path) -> None:
         for w, b in zip(model.weights, model.biases):
             f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
             f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+
+
+@contextmanager
+def atomic_write(path):
+    """Open a hidden temp file beside ``path`` for binary writing and move it
+    onto ``path`` only once the block finishes; on any error the temp file is
+    removed, so ``path`` never holds a partly written file."""
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_block(f, shape, path, kind: str, dtype: str = "<f8") -> np.ndarray:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's code paths (and numpy's eigensolver)
 so they can serve as oracles: a cyclic Jacobi eigensolver for Hermitian
 matrices, a loop-based MLP forward pass, central finite differences for
-gradients, and a loop-based MUSIC pseudospectrum.
+gradients, a loop-based MUSIC pseudospectrum, and the straightforward forms
+of the training loop and of the scene sampler that the library's faster
+versions must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -118,3 +120,85 @@ def brute_spectrum(un: np.ndarray, m: int, n: int, spacing: float, grid_deg: np.
             denom += abs(np.vdot(un[:, col], v)) ** 2
         vals[gi] = 1.0 / max(denom, 1e-12)
     return vals
+
+
+def reference_train(inputs, targets, cfg):
+    """The training loop in its plain form: one out-of-place Adam update per
+    parameter array and a full training-split pass after every epoch.
+
+    Shares the library's split, normalization, initialization and backward
+    pass, so the result must equal ``network.train``'s bit for bit.  Returns
+    (weights, biases, history).
+    """
+    from arrayemu.network import (
+        default_layer_dims,
+        init_model,
+        minmax_apply,
+        minmax_fit,
+        mlp_backward,
+        mlp_forward,
+    )
+
+    def mse(x, t):
+        return float(np.mean((mlp_forward(model, x)[0] - t) ** 2))
+
+    x = np.asarray(inputs, dtype=float)
+    t = np.asarray(targets, dtype=float)
+    n = x.shape[1]
+    rng = np.random.default_rng(cfg.seed)
+    order = rng.permutation(n)
+    n_train = int(round(cfg.split[0] * n))
+    n_val = int(round(cfg.split[1] * n))
+    idx_train = order[:n_train]
+    idx_val = order[n_train : n_train + n_val]
+    norm_in = minmax_fit(x[:, idx_train])
+    norm_out = minmax_fit(t[:, idx_train])
+    xn = minmax_apply(x, norm_in)
+    tn = minmax_apply(t, norm_out)
+    x_tr, t_tr = xn[:, idx_train], tn[:, idx_train]
+    x_val, t_val = xn[:, idx_val], tn[:, idx_val]
+    model = init_model(default_layer_dims(x.shape[0], t.shape[0]), cfg.output_activation, rng)
+
+    n_w = len(model.weights)
+    params = list(model.weights) + list(model.biases)
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    step = 0
+    history = {"train": [], "val": []}
+    best_val, best = np.inf, [p.copy() for p in params]
+    for _epoch in range(cfg.epochs):
+        perm = rng.permutation(x_tr.shape[1])
+        for start in range(0, x_tr.shape[1], cfg.batch_size):
+            batch = perm[start : start + cfg.batch_size]
+            gw, gb, _ = mlp_backward(model, x_tr[:, batch], t_tr[:, batch])
+            step += 1
+            new = []
+            for p, g, mi, vi in zip(params, gw + gb, m, v):
+                mi *= cfg.beta1
+                mi += (1 - cfg.beta1) * g
+                vi *= cfg.beta2
+                vi += (1 - cfg.beta2) * g**2
+                m_hat = mi / (1 - cfg.beta1**step)
+                v_hat = vi / (1 - cfg.beta2**step)
+                new.append(p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon))
+            params = new
+            model.weights, model.biases = params[:n_w], params[n_w:]
+        history["train"].append(mse(x_tr, t_tr))
+        val_loss = mse(x_val, t_val)
+        history["val"].append(val_loss)
+        if val_loss < best_val:
+            best_val, best = val_loss, [p.copy() for p in params]
+    return best[:n_w], best[n_w:], history
+
+
+def reference_draw_scene(range_deg, k, min_sep_deg, pulses, rng):
+    """Rejection sampler with a numpy sort and diff per candidate, followed
+    by the Swerling-II reflectivity draw.  Returns (angles_rad, rcs)."""
+    lo, hi = float(range_deg[0]), float(range_deg[1])
+    while True:
+        angles = np.sort(rng.uniform(lo, hi, size=k))
+        if k == 1 or np.all(np.diff(angles) >= min_sep_deg):
+            break
+    re = rng.standard_normal((k, pulses))
+    im = rng.standard_normal((k, pulses))
+    return np.deg2rad(angles), (re + 1j * im) / np.sqrt(2.0)

@@ -15,6 +15,8 @@ from arrayemu.arrays import (
     virtual_steering,
 )
 
+from oracles import reference_draw_scene
+
 
 def deg(x):
     return np.deg2rad(x)
@@ -166,6 +168,22 @@ class TestDrawScene:
         with pytest.raises(ValueError):
             draw_scene((0, 14), 4, 5.0, pulses=1, rng=0)
 
+    # (0, 15.5) with 3.5 deg spacing accepts about 1% of candidates.
+    @pytest.mark.parametrize(
+        "range_deg, k, sep",
+        [((0.0, 25.0), 4, 5.0), ((0.0, 15.5), 4, 3.5), ((10.0, 20.0), 1, 5.0), ((-60.0, 60.0), 3, 5.0)],
+    )
+    def test_bit_identical_to_reference_sampler(self, range_deg, k, sep):
+        """Angles, reflectivities and the generator state after the draw
+        all match the numpy sort/diff sampler, seed by seed."""
+        for seed in range(200):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            scene = draw_scene(range_deg, k, sep, pulses=3, rng=rng)
+            ref_angles, ref_rcs = reference_draw_scene(range_deg, k, sep, 3, ref_rng)
+            assert np.array_equal(scene.angles_rad, ref_angles)
+            assert np.array_equal(scene.rcs, ref_rcs)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_seed_determinism(self):
         s1 = draw_scene((0, 25), 4, 5.0, pulses=8, rng=42)
         s2 = draw_scene((0, 25), 4, 5.0, pulses=8, rng=42)
@@ -221,6 +239,14 @@ class TestSynthesizePair:
         ah = steering_matrix(scene.angles_rad, self.high)
         recon = ah @ np.linalg.pinv(al) @ bl.data
         assert np.linalg.norm(recon - bh.data) < 1e-8
+
+    @pytest.mark.parametrize("m, n, bound", [(4, 4, 6), (8, 8, 14), (1, 2, 1), (2, 3, 3)])
+    def test_max_targets_counts_distinct_phase_centres(self, m, n, bound):
+        cfg = ArrayConfig(m, n)
+        assert cfg.max_targets == bound
+        # M+N-1 distinct phase centres cap the steering matrix's rank.
+        angles = deg(np.linspace(-50.0, 50.0, bound + 2))
+        assert np.linalg.matrix_rank(steering_matrix(angles, cfg)) == bound + 1
 
     def test_identifiability_bound_names_array(self):
         scene = draw_scene((-60, 60), 3, 5.0, pulses=2, rng=1)

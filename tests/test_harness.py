@@ -18,7 +18,8 @@ from arrayemu.harness import (
     write_dataset,
     write_results,
 )
-from arrayemu.network import TrainConfig
+from arrayemu import network
+from arrayemu.network import TrainConfig, save_model, train
 
 
 def tiny_config(out_dir, **kw):
@@ -61,6 +62,13 @@ class TestConfig:
         # Both SNRs print as "snr_1" under the set-id format.
         with pytest.raises(ValueError, match="duplicate training set ids: \\['snr_1'\\]"):
             tiny_config(tmp_path, snr_train_db=[1.0, 1.0000001, 5.0])
+
+    @pytest.mark.parametrize("low, k", [(ArrayConfig(2, 2), 3), (ArrayConfig(4, 4), 7)])
+    def test_too_many_targets_rejected(self, tmp_path, low, k):
+        """More targets than the low array's M+N-2 bound fail before any file is written."""
+        with pytest.raises(ValueError, match="num_targets .* low array"):
+            tiny_config(tmp_path, low=low, high=ArrayConfig(8, 8), num_targets=k)
+        assert not (tmp_path / "out").exists()
 
     def test_set_ids(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -124,6 +132,64 @@ class TestDatasetFiles:
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValueError, match="truncated dataset file"):
             read_dataset(path)
+
+
+class FailingWrites:
+    """Stands in for ``open``: the opened file's ``fail_at``-th write raises,
+    as a full disk would, after the earlier writes reached the file."""
+
+    def __init__(self, fail_at):
+        self.fail_at = fail_at
+
+    def __call__(self, *args, **kwargs):
+        f = open(*args, **kwargs)
+        real_write, calls = f.write, [0]
+
+        def write(data):
+            calls[0] += 1
+            if calls[0] == self.fail_at:
+                raise OSError(28, "No space left on device")
+            return real_write(data)
+
+        f.write = write
+        return f
+
+
+def write_small_dataset(path, fill=1.0):
+    write_dataset(path, np.zeros(2, np.float32), np.full((2, 4), fill), np.full((2, 6), fill))
+
+
+def write_small_model(path):
+    x = np.random.default_rng(0).uniform(-1, 1, size=(2, 40))
+    model, _ = train(x, x, TrainConfig(epochs=1, batch_size=10, split=(0.75, 0.25, 0.0)))
+    save_model(model, path)
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize(
+        "name, write", [("d.dset", write_small_dataset), ("m.mlp", write_small_model)]
+    )
+    def test_write_failing_part_way_leaves_directory_unchanged(
+        self, tmp_path, monkeypatch, name, write
+    ):
+        (tmp_path / "other.txt").write_text("kept")
+        monkeypatch.setattr(network, "open", FailingWrites(fail_at=3), raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            write(tmp_path / name)
+        assert os.listdir(tmp_path) == ["other.txt"]
+        monkeypatch.undo()
+        write(tmp_path / name)
+        assert sorted(os.listdir(tmp_path)) == sorted([name, "other.txt"])
+
+    def test_failed_rewrite_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "d.dset"
+        write_small_dataset(path)
+        old = path.read_bytes()
+        monkeypatch.setattr(network, "open", FailingWrites(fail_at=4), raising=False)
+        with pytest.raises(OSError):
+            write_small_dataset(path, fill=2.0)
+        assert path.read_bytes() == old
+        assert os.listdir(tmp_path) == ["d.dset"]
 
 
 class TestDatasetBuild:

@@ -22,7 +22,8 @@ from arrayemu.network import (
     unstack_real_imag,
 )
 
-from oracles import fd_gradients, forward_chain
+from arrayemu import network
+from oracles import fd_gradients, forward_chain, reference_train
 
 
 def block(data, m=1, n=1, snr=0.0):
@@ -199,6 +200,13 @@ class TestAdam:
             ph -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
         assert p[0][0] == pytest.approx(ph, abs=1e-12)
 
+    def test_updates_in_place_and_returns_the_same_arrays(self):
+        params = [np.array([1.0, -2.0]), np.zeros((2, 2))]
+        state = OptimizerState.zeros_like(params)
+        out = adam_step(state, params, [np.ones(2), np.ones((2, 2))], lr=0.1)
+        assert all(o is p for o, p in zip(out, params))
+        assert params[0][0] < 1.0 and params[1][0, 0] < 0.0
+
     def test_nonfinite_gradient_raises(self):
         from arrayemu.network import TrainingError
 
@@ -242,6 +250,41 @@ class TestTrain:
         _, h1 = train(x, t, cfg)
         _, h2 = train(x, t, cfg)
         assert h1 == h2
+
+    @pytest.mark.parametrize("activation", ["linear", "relu"])
+    def test_bit_identical_to_reference_loop(self, activation):
+        """One flat in-place Adam buffer reproduces per-array out-of-place
+        Adam exactly; the last batch of each epoch is a short one."""
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((6, 530))
+        t = np.vstack([x[:3] * x[3:], np.tanh(x)])
+        cfg = TrainConfig(
+            epochs=4, batch_size=48, split=(0.6, 0.2, 0.2), output_activation=activation, seed=9
+        )
+        model, history = train(x, t, cfg)
+        ref_w, ref_b, ref_history = reference_train(x, t, cfg)
+        for got, want in zip(model.weights + model.biases, ref_w + ref_b):
+            assert np.array_equal(got, want)
+        assert history["val"] == ref_history["val"]
+
+    def test_train_history_is_mean_batch_loss(self, monkeypatch):
+        losses = []
+
+        def recording_backward(*args):
+            gw, gb, loss = mlp_backward(*args)
+            losses.append(loss)
+            return gw, gb, loss
+
+        monkeypatch.setattr(network, "mlp_backward", recording_backward)
+        x, t = self._linear_task(n=400)
+        cfg = TrainConfig(epochs=3, batch_size=32, split=(0.75, 0.25, 0.0), seed=0)
+        _, history = train(x, t, cfg)
+        per_epoch = -(-300 // 32)  # 300 training samples, the last batch short
+        assert len(losses) == cfg.epochs * per_epoch
+        assert len(history["train"]) == cfg.epochs
+        for epoch, value in enumerate(history["train"]):
+            assert np.isfinite(value)
+            assert value == np.mean(losses[epoch * per_epoch : (epoch + 1) * per_epoch])
 
     def test_dataset_smaller_than_batch_rejected(self):
         with pytest.raises(ValueError):
