@@ -24,11 +24,14 @@ from .arrays import (
     TargetScene,
     draw_scene,
     snr_to_noise_var,
+    steering_matrix,
     synthesize_block,
     synthesize_pair,
 )
 from .metrics import cov_error, crb
 from .music import (
+    CovarianceEstimate,
+    grid_angles,
     hermitian_eig,
     music_spectrum,
     noise_subspace,
@@ -402,12 +405,16 @@ def write_grid(rows: list[dict], path) -> None:
 # Harness
 # --------------------------------------------------------------------------
 
-@dataclass
-class _Trial:
-    scene: TargetScene
-    low: SnapshotBlock
-    high: SnapshotBlock
-    offset_seed: np.random.SeedSequence
+@dataclass(frozen=True)
+class _Bank:
+    """One test bank: Q scenes, their low and high blocks as (Q, MN, P)
+    stacks, and a noise seed per trial for the SNR-offset references."""
+
+    scenes: list[TargetScene]
+    truths_deg: np.ndarray  # (Q, K)
+    low: np.ndarray
+    high: np.ndarray
+    offset_seeds: list[np.random.SeedSequence]
 
 
 class Harness:
@@ -417,7 +424,7 @@ class Harness:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self._models: dict[tuple[int, str], MlpModel] = {}
-        self._banks: dict[tuple[int, float], list[_Trial]] = {}
+        self._banks: dict[tuple[int, float], _Bank] = {}
         self._crbs: dict[tuple[int, float], tuple[float, float]] = {}
         self._offset_covs: dict = {}
         self._model_evals: dict = {}
@@ -549,7 +556,7 @@ class Harness:
 
     # -- test data ---------------------------------------------------------
 
-    def test_bank(self, range_idx: int, snr_db: float) -> list[_Trial]:
+    def test_bank(self, range_idx: int, snr_db: float) -> _Bank:
         key = (range_idx, float(snr_db))
         if key not in self._banks:
             cfg = self.cfg
@@ -557,8 +564,10 @@ class Harness:
             snr_idx = hash(float(snr_db)) & 0xFFFFFFFF
             ss = self._seed(3, range_idx, snr_idx)
             rng = np.random.default_rng(ss)
-            offsets = ss.spawn(cfg.trials)
-            trials = []
+            offset_seeds = ss.spawn(cfg.trials)
+            low = np.empty((cfg.trials, cfg.low.virtual_size, cfg.snapshots), dtype=complex)
+            high = np.empty((cfg.trials, cfg.high.virtual_size, cfg.snapshots), dtype=complex)
+            scenes = []
             for q in range(cfg.trials):
                 scene = draw_scene(
                     cfg.angle_ranges_deg[range_idx],
@@ -568,46 +577,42 @@ class Harness:
                     rng,
                 )
                 bl, bh = synthesize_pair(scene, cfg.low, cfg.high, snr_db, rng)
-                trials.append(_Trial(scene=scene, low=bl, high=bh, offset_seed=offsets[q]))
-            self._banks[key] = trials
+                low[q], high[q] = bl.data, bh.data
+                scenes.append(scene)
+            truths_deg = np.rad2deg([s.angles_rad for s in scenes])
+            self._banks[key] = _Bank(scenes, truths_deg, low, high, offset_seeds)
         return self._banks[key]
 
     def _offset_cov(self, range_idx: int, snr_db: float, offset_db: float):
-        """Per-trial covariances of the high array re-synthesized at
-        snr + offset with the same scenes (fresh noise)."""
+        """Covariance stack of the high array re-synthesized at snr + offset
+        with the same scenes (fresh noise), one block at a time."""
         # spawn() is stateful: an offset's noise depends on which offsets came first.
         key = (range_idx, float(snr_db), float(offset_db))
         if key not in self._offset_covs:
             bank = self.test_bank(range_idx, snr_db)
-            covs = []
-            for trial in bank:
-                rng = np.random.default_rng(trial.offset_seed.spawn(1)[0])
-                block = synthesize_block(
-                    trial.scene, self.cfg.high, snr_db + offset_db, rng
-                )
-                covs.append(sample_covariance(block))
-            self._offset_covs[key] = covs
+            mn = self.cfg.high.virtual_size
+            covs = np.empty((self.cfg.trials, mn, mn), dtype=complex)
+            for q, (scene, seed) in enumerate(zip(bank.scenes, bank.offset_seeds)):
+                rng = np.random.default_rng(seed.spawn(1)[0])
+                block = synthesize_block(scene, self.cfg.high, snr_db + offset_db, rng)
+                covs[q] = sample_covariance(block).matrix
+            self._offset_covs[key] = CovarianceEstimate(covs, self.cfg.snapshots)
         return self._offset_covs[key]
 
     # -- evaluation --------------------------------------------------------
 
-    def _music_mse(self, blocks, truths_deg, range_idx: int):
-        """MUSIC DOA MSE over trials; returns (mse, covariances)."""
-        cfg = self.cfg
-        grid = cfg.spectrum_grid(range_idx)
-        k = cfg.num_targets
-
-        estimates, covs = [], []
-        for block in blocks:
-            cov = sample_covariance(block)
-            un = noise_subspace(hermitian_eig(cov), k)
-            angles, _ = pick_peaks(music_spectrum(un, block.array, grid), k)
-            estimates.append(angles)
-            covs.append(cov)
-        return doa_mse(np.vstack(estimates), truths_deg), covs
-
-    def _truths_deg(self, bank) -> np.ndarray:
-        return np.vstack([np.rad2deg(t.scene.angles_rad) for t in bank])
+    def _music_mse(self, data, array: ArrayConfig, truths_deg, range_idx: int):
+        """MUSIC DOA MSE over a (Q, MN, P) stack of trial blocks; returns
+        (mse, covariance stack)."""
+        grid = self.cfg.spectrum_grid(range_idx)
+        k = self.cfg.num_targets
+        cov = sample_covariance(data)
+        un = noise_subspace(hermitian_eig(cov), k)
+        steering = steering_matrix(np.deg2rad(grid_angles(grid)), array)
+        # One spectrum matmul per trial: a single (Q, MN-K, G) product
+        # raised peak memory for no CPU gain.
+        estimates = [pick_peaks(music_spectrum(u, array, grid, steering), k)[0] for u in un]
+        return doa_mse(np.vstack(estimates), truths_deg), cov
 
     def _mean_crbs(self, range_idx: int, snr_db: float) -> tuple[float, float]:
         """Trial-averaged (low, high) CRB diagonals of one test bank."""
@@ -617,8 +622,8 @@ class Harness:
             sigma2 = snr_to_noise_var(snr_db)
             self._crbs[key] = tuple(
                 float(np.mean([
-                    float(np.mean(crb(t.scene.angles_rad, t.scene.rcs, sigma2, arr).diagonal_rad2))
-                    for t in bank
+                    float(np.mean(crb(s.angles_rad, s.rcs, sigma2, arr).diagonal_rad2))
+                    for s in bank.scenes
                 ]))
                 for arr in (self.cfg.low, self.cfg.high)
             )
@@ -628,10 +633,10 @@ class Harness:
         """Raw low/high MUSIC baselines and trial-averaged CRBs."""
         key = (range_idx, float(snr_db))
         if key not in self._raw_evals:
+            cfg = self.cfg
             bank = self.test_bank(range_idx, snr_db)
-            truths = self._truths_deg(bank)
-            mse_low, _ = self._music_mse([t.low for t in bank], truths, range_idx)
-            mse_high, high_covs = self._music_mse([t.high for t in bank], truths, range_idx)
+            mse_low, _ = self._music_mse(bank.low, cfg.low, bank.truths_deg, range_idx)
+            mse_high, high_covs = self._music_mse(bank.high, cfg.high, bank.truths_deg, range_idx)
             crb_low, crb_high = self._mean_crbs(range_idx, snr_db)
             self._raw_evals[key] = {
                 "mse_low": mse_low,
@@ -642,10 +647,18 @@ class Harness:
             }
         return self._raw_evals[key]
 
-    def _predict_bank(self, range_idx: int, set_id: str, snr_db: float) -> list[SnapshotBlock]:
-        """Emulated high-array blocks for every trial of a test bank."""
+    def _predict_bank(self, range_idx: int, set_id: str, snr_db: float) -> np.ndarray:
+        """Emulated high-array blocks for every trial of a test bank, as a
+        (Q, MN, P) stack."""
+        cfg = self.cfg
         model = self.ensure_model(range_idx, set_id)
-        return [predict(model, t.low, self.cfg.high) for t in self.test_bank(range_idx, snr_db)]
+        bank = self.test_bank(range_idx, snr_db)
+        # One predict per trial: a single forward pass over every column of
+        # the bank cost more CPU and memory.
+        out = np.empty((cfg.trials, cfg.high.virtual_size, cfg.snapshots), dtype=complex)
+        for q, y in enumerate(bank.low):
+            out[q] = predict(model, SnapshotBlock(y, snr_db, cfg.low), cfg.high).data
+        return out
 
     def eval_model(self, range_idx: int, set_id: str, snr_db: float) -> dict:
         """Evaluate one trained set at one test SNR: emulated DOA MSE plus
@@ -654,26 +667,26 @@ class Harness:
         if key not in self._model_evals:
             cfg = self.cfg
             preds = self._predict_bank(range_idx, set_id, snr_db)
-            truths = self._truths_deg(self.test_bank(range_idx, snr_db))
-            mse, pred_covs = self._music_mse(preds, truths, range_idx)
-            offset = cfg.denoise_offsets_db[0] if cfg.denoise_offsets_db else 0.0
+            truths = self.test_bank(range_idx, snr_db).truths_deg
+            mse, pred_covs = self._music_mse(preds, cfg.high, truths, range_idx)
             self._model_evals[key] = {
                 "mse": mse,
                 "r_e": self.r_offset(range_idx, snr_db, 0.0, pred_covs),
-                "r_offset": self.r_offset(range_idx, snr_db, offset, pred_covs),
+                "r_offset": self.r_offset(range_idx, snr_db, self._eval_offset, pred_covs),
             }
         return self._model_evals[key]
+
+    @property
+    def _eval_offset(self) -> float:
+        """The SNR offset whose r_offset eval_model records."""
+        return self.cfg.denoise_offsets_db[0] if self.cfg.denoise_offsets_db else 0.0
 
     def r_offset(self, range_idx, snr_db, offset_db, pred_covs) -> float:
         """Mean relative covariance error against the high array at an SNR offset."""
         if offset_db == 0.0:
             # Zero offset reduces to the plain covariance error.
-            ref_covs = self.eval_raw(range_idx, snr_db)["high_covs"]
-        else:
-            ref_covs = self._offset_cov(range_idx, snr_db, offset_db)
-        return float(
-            np.mean([cov_error(rc, pc) for rc, pc in zip(ref_covs, pred_covs)])
-        )
+            return cov_error(self.eval_raw(range_idx, snr_db)["high_covs"], pred_covs)
+        return cov_error(self._offset_cov(range_idx, snr_db, offset_db), pred_covs)
 
     # -- protocol cases ----------------------------------------------------
 
@@ -791,14 +804,20 @@ class Harness:
             for kind in ("M2", "matched"):
                 for snr in cfg.snr_test_db:
                     sid = "M2" if kind == "M2" else cfg.single_set_id(snr)
+                    ev = self.eval_model(r, sid, snr)
                     row = {
                         "angle_range": cfg.range_tag(r),
                         "model": kind,
                         "test_snr_db": float(snr),
-                        "r_e": self.eval_model(r, sid, snr)["r_e"],
+                        "r_e": ev["r_e"],
                     }
-                    pred_covs = [sample_covariance(b) for b in self._predict_bank(r, sid, snr)]
-                    for off in offsets_db:
-                        row[f"r_offset_{off:g}"] = self.r_offset(r, snr, off, pred_covs)
+                    # eval_model already holds these two; predict again only
+                    # for another offset.
+                    known = {0.0: ev["r_e"], self._eval_offset: ev["r_offset"]}
+                    new = [off for off in offsets_db if off not in known]
+                    if new:
+                        pred_covs = sample_covariance(self._predict_bank(r, sid, snr))
+                        known.update((off, self.r_offset(r, snr, off, pred_covs)) for off in new)
+                    row.update((f"r_offset_{off:g}", known[off]) for off in offsets_db)
                     rows.append(row)
         return rows

@@ -34,14 +34,20 @@ class CrbResult:
 
 
 def cov_error(r_ref: CovarianceEstimate, r_pre: CovarianceEstimate) -> float:
-    """Relative Frobenius error ||R_ref - R_pre||_F / ||R_ref||_F."""
+    """Relative Frobenius error ||R_ref - R_pre||_F / ||R_ref||_F.
+
+    For two (Q, n, n) stacks, the mean of the Q per-matrix errors.
+    """
     a, b = r_ref.matrix, r_pre.matrix
     if a.shape != b.shape:
         raise ValueError(f"covariance shapes differ: {a.shape} vs {b.shape}")
-    denom = np.linalg.norm(a)
-    if denom == 0:
-        raise ValueError("reference covariance has zero norm")
-    return float(np.linalg.norm(a - b) / denom)
+    errors = []
+    for ra, rb in zip(a.reshape(-1, *a.shape[-2:]), b.reshape(-1, *b.shape[-2:])):
+        denom = np.linalg.norm(ra)
+        if denom == 0:
+            raise ValueError("reference covariance has zero norm")
+        errors.append(np.linalg.norm(ra - rb) / denom)
+    return float(np.mean(errors))
 
 
 def _derivative_factor(theta_rad, cfg: ArrayConfig) -> np.ndarray:

@@ -20,6 +20,7 @@ __all__ = [
     "sample_covariance",
     "hermitian_eig",
     "noise_subspace",
+    "grid_angles",
     "music_spectrum",
     "pick_peaks",
     "doa_mse",
@@ -33,7 +34,8 @@ DENOM_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Hermitian sample covariance and the snapshot count behind it."""
+    """Hermitian sample covariance, or a (Q, n, n) stack of Q of them, and
+    the snapshot count behind each."""
 
     matrix: np.ndarray
     snapshots_used: int
@@ -41,16 +43,18 @@ class CovarianceEstimate:
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
         m = self.matrix
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
             raise ValueError("covariance must be square")
-        scale = max(np.linalg.norm(m), 1.0)
-        if np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
-            raise ValueError("covariance matrix is not Hermitian within tolerance")
+        for mi in m.reshape(-1, *m.shape[-2:]):
+            scale = max(np.linalg.norm(mi), 1.0)
+            if np.linalg.norm(mi - mi.conj().T) > HERMITIAN_RTOL * scale:
+                raise ValueError("covariance matrix is not Hermitian within tolerance")
 
 
 @dataclass(frozen=True)
 class EigenStructure:
-    """Eigenvalues (descending) and matching unitary eigenvector columns."""
+    """Eigenvalues (descending) and matching unitary eigenvector columns;
+    a stack of covariances gives a stack of each."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -64,57 +68,80 @@ class SpectrumResult:
     values: np.ndarray
 
 
-def sample_covariance(block: SnapshotBlock, window=None) -> CovarianceEstimate:
+def sample_covariance(block, window=None) -> CovarianceEstimate:
     """Average outer product (1/N_s) sum_p y_p y_p^H over a pulse window.
 
-    ``window`` is any index expression over pulses (slice, list, range);
-    defaults to all pulses.  The result is explicitly symmetrized.
+    ``block`` is a SnapshotBlock or a (Q, MN, P) array of Q trials' blocks,
+    which gives a (Q, MN, MN) stack.  ``window`` is any index expression
+    over pulses (slice, list, range); defaults to all pulses.  The result
+    is explicitly symmetrized.
     """
-    if window is None:
-        y = block.data
-    else:
-        y = block.data[:, window]
-    ns = y.shape[1]
+    y = block.data if isinstance(block, SnapshotBlock) else np.asarray(block, dtype=complex)
+    if window is not None:
+        y = y[..., window]
+    ns = y.shape[-1]
     if ns < 1:
         raise ValueError("covariance window must contain at least one pulse")
-    r = (y @ y.conj().T) / ns
-    r = (r + r.conj().T) / 2.0
+    # One product per trial into one stack: a batched matmul would first
+    # copy the conjugate of every block, which raised peak memory.
+    r = np.empty(y.shape[:-1] + (y.shape[-2],), dtype=complex)
+    for q in np.ndindex(y.shape[:-2]):
+        np.matmul(y[q], y[q].conj().T, out=r[q])
+    r /= ns
+    r += r.conj().swapaxes(-2, -1)
+    r /= 2.0
     return CovarianceEstimate(matrix=r, snapshots_used=ns)
 
 
 def hermitian_eig(cov: CovarianceEstimate) -> EigenStructure:
     """Full eigendecomposition with eigenvalues sorted descending."""
     w, u = np.linalg.eigh(cov.matrix)
-    order = np.argsort(w)[::-1]
-    return EigenStructure(eigenvalues=w[order], eigenvectors=u[:, order])
+    order = np.argsort(w, axis=-1)[..., ::-1]
+    return EigenStructure(
+        eigenvalues=np.take_along_axis(w, order, axis=-1),
+        eigenvectors=np.take_along_axis(u, order[..., None, :], axis=-1),
+    )
 
 
 def noise_subspace(eig: EigenStructure, k: int) -> np.ndarray:
     """Eigenvectors of the MN-K smallest eigenvalues, as columns."""
-    mn = eig.eigenvalues.size
+    mn = eig.eigenvalues.shape[-1]
     if not 1 <= k < mn:
         raise ValueError(f"target count k={k} must satisfy 1 <= k < {mn}")
-    return eig.eigenvectors[:, k:]
+    return eig.eigenvectors[..., k:]
 
 
-def music_spectrum(un: np.ndarray, cfg: ArrayConfig, grid) -> SpectrumResult:
-    """MUSIC pseudospectrum 1 / ||U_n^H v(theta)||^2 on a degree grid.
-
-    ``grid`` is (lo_deg, hi_deg, step_deg).  The projection energy is
-    floored at DENOM_FLOOR before inversion.
-    """
+def grid_angles(grid) -> np.ndarray:
+    """Degree grid lo, lo + step, ..., hi from ``grid`` = (lo_deg, hi_deg, step_deg)."""
     lo, hi, step = float(grid[0]), float(grid[1]), float(grid[2])
     if step <= 0:
         raise ValueError("grid step must be positive")
     npts = int(round((hi - lo) / step)) + 1
     if npts < 1:
         raise ValueError("empty spectrum grid")
+    return lo + step * np.arange(npts)
+
+
+def music_spectrum(un: np.ndarray, cfg: ArrayConfig, grid, steering=None) -> SpectrumResult:
+    """MUSIC pseudospectrum 1 / ||U_n^H v(theta)||^2 on a degree grid.
+
+    ``grid`` is (lo_deg, hi_deg, step_deg).  ``steering`` is the grid's
+    (MN, grid points) steering matrix, built here when not given, so one
+    matrix can serve every trial of a bank.  The projection energy is
+    floored at DENOM_FLOOR before inversion.
+    """
+    grid_deg = grid_angles(grid)
     un = np.asarray(un, dtype=complex)
     if un.ndim != 2 or un.shape[1] < 1:
         raise ValueError("noise subspace must have at least one column")
-    grid_deg = lo + step * np.arange(npts)
-    v = steering_matrix(np.deg2rad(grid_deg), cfg)
-    denom = np.sum(np.abs(un.conj().T @ v) ** 2, axis=0)
+    if steering is None:
+        steering = steering_matrix(np.deg2rad(grid_deg), cfg)
+    elif steering.shape != (cfg.virtual_size, grid_deg.size):
+        raise ValueError(
+            f"steering matrix has shape {steering.shape}, grid needs "
+            f"{(cfg.virtual_size, grid_deg.size)}"
+        )
+    denom = np.sum(np.abs(un.conj().T @ steering) ** 2, axis=0)
     denom = np.maximum(denom, DENOM_FLOOR)
     return SpectrumResult(grid_deg=grid_deg, values=1.0 / denom)
 
@@ -129,20 +156,13 @@ def pick_peaks(spec: SpectrumResult, k: int) -> tuple[np.ndarray, bool]:
     if k <= 0:
         raise ValueError("k must be positive")
     vals = spec.values
-    n = vals.size
-    interior = np.arange(1, n - 1)
-    is_peak = (vals[interior] > vals[interior - 1]) & (vals[interior] > vals[interior + 1])
-    peak_idx = interior[is_peak]
-    # Largest first; ties resolved toward the lower angle.
-    peak_idx = peak_idx[np.lexsort((peak_idx, -vals[peak_idx]))]
-    chosen = list(peak_idx[:k])
-    degenerate = len(chosen) < k
-    if degenerate:
-        rest = np.setdiff1d(np.arange(n), chosen)
-        rest = rest[np.lexsort((rest, -vals[rest]))]
-        chosen.extend(rest[: k - len(chosen)])
-    angles = np.sort(spec.grid_deg[np.array(chosen)])
-    return angles, degenerate
+    is_peak = np.zeros(vals.size, dtype=bool)
+    is_peak[1:-1] = (vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])
+    # Peaks first, then largest value first; lexsort is stable, so ties
+    # resolve toward the lower angle.
+    chosen = np.lexsort((-vals, ~is_peak))[:k]
+    angles = np.sort(spec.grid_deg[chosen])
+    return angles, int(np.count_nonzero(is_peak)) < k
 
 
 def doa_mse(estimates_deg, truths_deg) -> float:

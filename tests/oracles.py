@@ -4,8 +4,8 @@ These deliberately avoid the library's code paths (and numpy's eigensolver)
 so they can serve as oracles: a cyclic Jacobi eigensolver for Hermitian
 matrices, a loop-based MLP forward pass, central finite differences for
 gradients, a loop-based MUSIC pseudospectrum, and the straightforward forms
-of the training loop and of the scene sampler that the library's faster
-versions must reproduce bit for bit.
+of the training loop, of the scene sampler and of the per-trial MUSIC
+evaluation that the library's faster versions must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -202,3 +202,44 @@ def reference_draw_scene(range_deg, k, min_sep_deg, pulses, rng):
     re = rng.standard_normal((k, pulses))
     im = rng.standard_normal((k, pulses))
     return np.deg2rad(angles), (re + 1j * im) / np.sqrt(2.0)
+
+
+def reference_pick_peaks(values: np.ndarray, grid_deg: np.ndarray, k: int):
+    """Peak picking with the leftover slots filled from ``setdiff1d`` of the
+    chosen peaks: the k largest strict interior maxima (ties toward the
+    lower angle), then the largest remaining grid values.  Returns
+    (angles sorted ascending, degenerate flag)."""
+    n = values.size
+    interior = np.arange(1, n - 1)
+    is_peak = (values[interior] > values[interior - 1]) & (values[interior] > values[interior + 1])
+    peak_idx = interior[is_peak]
+    peak_idx = peak_idx[np.lexsort((peak_idx, -values[peak_idx]))]
+    chosen = list(peak_idx[:k])
+    degenerate = len(chosen) < k
+    if degenerate:
+        rest = np.setdiff1d(np.arange(n), chosen)
+        rest = rest[np.lexsort((rest, -values[rest]))]
+        chosen.extend(rest[: k - len(chosen)])
+    return np.sort(grid_deg[np.array(chosen, dtype=int)]), degenerate
+
+
+def reference_music_mse(blocks, array, truths_deg, grid, k: int):
+    """MUSIC DOA MSE with one covariance, one eigendecomposition and one
+    grid steering matrix per trial block, and ``reference_pick_peaks``.
+    Returns (mse, list of per-trial covariance matrices)."""
+    from arrayemu.arrays import steering_matrix
+    from arrayemu.music import doa_mse
+
+    lo, hi, step = grid
+    grid_deg = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+    estimates, covs = [], []
+    for y in blocks:
+        r = (y @ y.conj().T) / y.shape[1]
+        r = (r + r.conj().T) / 2.0
+        w, u = np.linalg.eigh(r)
+        un = u[:, np.argsort(w)[::-1]][:, k:]
+        v = steering_matrix(np.deg2rad(grid_deg), array)
+        denom = np.maximum(np.sum(np.abs(un.conj().T @ v) ** 2, axis=0), 1e-12)
+        estimates.append(reference_pick_peaks(1.0 / denom, grid_deg, k)[0])
+        covs.append(r)
+    return doa_mse(np.vstack(estimates), truths_deg), covs

@@ -18,8 +18,11 @@ from arrayemu.harness import (
     write_dataset,
     write_results,
 )
+from arrayemu import harness as harness_module
 from arrayemu import network
 from arrayemu.network import TrainConfig, save_model, train
+
+from oracles import reference_music_mse
 
 
 def tiny_config(out_dir, **kw):
@@ -298,11 +301,82 @@ class TestTrainingAndEval:
             sid = "M2" if row["model"] == "M2" else cfg.single_set_id(snr)
             assert row[f"r_offset_{first:g}"] == harness.eval_model(0, sid, snr)["r_offset"]
 
+    def test_denoise_predicts_only_for_new_offsets(self, harness, monkeypatch):
+        """Offsets 0 and the first configured one are read from eval_model;
+        any other offset predicts each (set, SNR) bank once more."""
+        cfg = harness.cfg
+        first, other = cfg.denoise_offsets_db[0], 12.0
+        assert other not in (0.0, first)
+        cold = Harness(cfg).denoise_analysis([other, first, 0.0])
+        h = Harness(cfg)
+        pairs = [(sid, snr) for snr in cfg.snr_test_db for sid in ("M2", cfg.single_set_id(snr))]
+        for sid, snr in pairs:
+            h.eval_model(0, sid, snr)
+        calls = []
+        real_predict = harness_module.predict
+
+        def counting_predict(*args, **kwargs):
+            calls.append(args)
+            return real_predict(*args, **kwargs)
+
+        monkeypatch.setattr(harness_module, "predict", counting_predict)
+        known = h.denoise_analysis([first, 0.0])
+        assert calls == []
+        rows = h.denoise_analysis([other])
+        assert len(calls) == cfg.trials * len(pairs)
+        assert len(rows) == len(known) == len(cold) == len(pairs)
+        for row, known_row, cold_row in zip(rows, known, cold):
+            assert {**row, **known_row} == cold_row
+
     def test_crb_table(self, harness):
         rows = harness.crb_table()
         assert len(rows) == 3
         for row in rows:
             assert 0 < row["crb_high_rad2"] < row["crb_low_rad2"]
+
+
+@pytest.fixture(scope="module")
+def music_harness(tmp_path_factory):
+    """Acceptance-size arrays (16 and 64 elements), K = 4 and Q = 10 trials
+    of 150 snapshots on a 351-point grid; no model is trained."""
+    cfg = ExperimentConfig(
+        angle_ranges_deg=[(0.0, 25.0)],
+        test_samples=1500,
+        output_dir=str(tmp_path_factory.mktemp("music")),
+    )
+    return Harness(cfg)
+
+
+class TestStackedMusic:
+    @pytest.mark.parametrize("side", ["low", "high"])
+    @pytest.mark.parametrize("snr_db", [-16.0, 0.0, 10.0, 300.0])
+    def test_bank_mse_and_covariances_match_per_trial_reference(
+        self, music_harness, side, snr_db
+    ):
+        """300 dB is the noiseless bank."""
+        h = music_harness
+        bank = h.test_bank(0, snr_db)
+        assert np.array_equal(
+            bank.truths_deg, np.vstack([np.rad2deg(s.angles_rad) for s in bank.scenes])
+        )
+        array, data = getattr(h.cfg, side), getattr(bank, side)
+        mse, cov = h._music_mse(data, array, bank.truths_deg, 0)
+        ref_mse, ref_covs = reference_music_mse(
+            data, array, bank.truths_deg, h.cfg.spectrum_grid(0), h.cfg.num_targets
+        )
+        assert mse == ref_mse
+        assert np.array_equal(cov.matrix, np.stack(ref_covs))
+        if snr_db == 300.0:
+            assert mse < 1e-5
+
+    def test_eval_raw_keeps_the_bank_mses(self, music_harness):
+        h = music_harness
+        bank = h.test_bank(0, 0.0)
+        raw = h.eval_raw(0, 0.0)
+        grid, k = h.cfg.spectrum_grid(0), h.cfg.num_targets
+        for side in ("low", "high"):
+            array, data = getattr(h.cfg, side), getattr(bank, side)
+            assert raw["mse_" + side] == reference_music_mse(data, array, bank.truths_deg, grid, k)[0]
 
 
 class TestResultsCsv:

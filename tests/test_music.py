@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arrayemu.arrays import (
     ArrayConfig,
@@ -14,6 +15,7 @@ from arrayemu.arrays import (
 from arrayemu.music import (
     CovarianceEstimate,
     doa_mse,
+    grid_angles,
     hermitian_eig,
     music_spectrum,
     noise_subspace,
@@ -22,7 +24,7 @@ from arrayemu.music import (
     SpectrumResult,
 )
 
-from oracles import brute_spectrum, jacobi_eigvals
+from oracles import brute_spectrum, jacobi_eigvals, reference_pick_peaks
 
 NOISELESS = 400.0  # dB; effectively zero noise
 
@@ -100,6 +102,13 @@ class TestHermitianEig:
         with pytest.raises(ValueError):
             CovarianceEstimate(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1)
 
+    @pytest.mark.parametrize("bad", [0, 1, 2])
+    def test_non_hermitian_matrix_in_a_stack_rejected(self, bad):
+        stack = np.stack([np.eye(3, dtype=complex)] * 3)
+        stack[bad, 0, 2] = 1j
+        with pytest.raises(ValueError, match="not Hermitian"):
+            CovarianceEstimate(stack, 1)
+
 
 class TestNoiseSubspace:
     def _eig(self, n):
@@ -151,6 +160,22 @@ class TestMusicSpectrum:
         assert np.all(np.diff(spec.grid_deg) > 0)
         assert spec.grid_deg.size == 41
 
+    @pytest.mark.parametrize("cfg", [ArrayConfig(2, 3), ArrayConfig(8, 8, 0.37)])
+    def test_prebuilt_steering_matrix_changes_nothing(self, cfg):
+        un = noise_subspace(hermitian_eig(sample_covariance(
+            synthesize_block(draw_scene((0, 25), 2, 5.0, 40, rng=3), cfg, 0.0, rng=4)
+        )), 2)
+        grid = (-5.0, 30.0, 0.1)
+        steering = steering_matrix(np.deg2rad(grid_angles(grid)), cfg)
+        built, reused = music_spectrum(un, cfg, grid), music_spectrum(un, cfg, grid, steering)
+        assert np.array_equal(built.values, reused.values)
+        assert np.array_equal(built.grid_deg, reused.grid_deg)
+
+    @pytest.mark.parametrize("shape", [(4, 20), (6, 21), (21, 4)])
+    def test_steering_matrix_of_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match="steering matrix"):
+            music_spectrum(np.eye(4)[:, :2], ArrayConfig(2, 2), (0, 10, 0.5), np.ones(shape))
+
     def test_empty_noise_subspace_rejected(self):
         with pytest.raises(ValueError):
             music_spectrum(np.empty((4, 0)), ArrayConfig(2, 2), (0, 10, 1))
@@ -189,6 +214,25 @@ class TestPickPeaks:
         spec = SpectrumResult(grid_deg=np.arange(3.0), values=np.ones(3))
         with pytest.raises(ValueError):
             pick_peaks(spec, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # A few levels only, so plateaus and exact ties are common.
+        values=st.lists(
+            st.one_of(st.sampled_from([0.0, 1.0, 2.0, 2.5, 7.0]), st.floats(0.0, 1e6)),
+            min_size=2,
+            max_size=40,
+        ),
+        data=st.data(),
+    )
+    def test_matches_setdiff1d_fill(self, values, data):
+        vals = np.array(values)
+        k = data.draw(st.integers(1, vals.size - 1), label="k")
+        spec = SpectrumResult(grid_deg=-3.0 + 0.5 * np.arange(vals.size), values=vals)
+        angles, degenerate = pick_peaks(spec, k)
+        ref_angles, ref_degenerate = reference_pick_peaks(vals, spec.grid_deg, k)
+        assert np.array_equal(angles, ref_angles)
+        assert degenerate == ref_degenerate
 
     def test_noiseless_four_targets_end_to_end(self):
         cfg = ArrayConfig(3, 3)
