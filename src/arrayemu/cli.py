@@ -86,10 +86,14 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _results_dir(cfg: ExperimentConfig) -> str:
+def _write_csv(cfg: ExperimentConfig, name: str, writer, table) -> None:
+    """Write ``table`` with ``writer`` to ``results/<name>``, creating the
+    directory only now that there is something to write."""
     d = os.path.join(cfg.output_dir, "results")
     os.makedirs(d, exist_ok=True)
-    return d
+    path = os.path.join(d, name)
+    writer(table, path)
+    print(f"wrote {path}")
 
 
 def run_demo() -> int:
@@ -113,7 +117,6 @@ def dispatch(args) -> int:
         return run_demo()
     cfg = _load_config(args)
     harness = Harness(cfg)
-    out = _results_dir(cfg)
     if args.verb == "gen-data":
         paths = harness.build_datasets()
         print(f"wrote {len(paths)} dataset files under {cfg.output_dir}/datasets")
@@ -125,29 +128,19 @@ def dispatch(args) -> int:
     elif args.verb == "eval":
         for r in range(len(cfg.angle_ranges_deg)):
             harness.ensure_model(r, args.train_set, train_missing=False)
-        path = os.path.join(out, f"eval_{args.train_set}.csv")
-        write_results(harness.set_sweep(args.train_set), path)
-        print(f"wrote {path}")
+        result = harness.set_sweep(args.train_set)
+        _write_csv(cfg, f"eval_{args.train_set}.csv", write_results, result)
     elif args.verb == "sweep":
-        result = harness.run_case_sweep(args.case)
-        path = os.path.join(out, f"sweep_{args.case}.csv")
-        write_results(result, path)
-        print(f"wrote {path}")
+        _write_csv(cfg, f"sweep_{args.case}.csv", write_results, harness.run_case_sweep(args.case))
     elif args.verb == "grid":
-        path = os.path.join(out, "grid.csv")
-        write_grid(harness.best_train_snr_grid(), path)
-        print(f"wrote {path}")
+        _write_csv(cfg, "grid.csv", write_grid, harness.best_train_snr_grid())
     elif args.verb == "denoise":
         offsets = None
         if args.offsets:
             offsets = [float(p) for p in args.offsets.split(",")]
-        path = os.path.join(out, "denoise.csv")
-        write_rows(harness.denoise_analysis(offsets), path)
-        print(f"wrote {path}")
+        _write_csv(cfg, "denoise.csv", write_rows, harness.denoise_analysis(offsets))
     elif args.verb == "crb":
-        path = os.path.join(out, "crb.csv")
-        write_rows(harness.crb_table(), path)
-        print(f"wrote {path}")
+        _write_csv(cfg, "crb.csv", write_rows, harness.crb_table())
     return 0
 
 

@@ -13,6 +13,7 @@ tables are reproducible byte for byte.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass, field, replace
 
@@ -132,6 +133,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.snr_train_db or not self.snr_test_db:
             raise ValueError("SNR lists must be non-empty")
+        if self.snapshots < 1:
+            raise ValueError(f"snapshots ({self.snapshots}) must be at least 1")
+        if self.test_samples < self.snapshots:
+            raise ValueError(
+                f"test_samples ({self.test_samples}) must be at least snapshots "
+                f"({self.snapshots}) for one test trial"
+            )
         if self.test_samples % self.snapshots != 0:
             raise ValueError(
                 f"snapshots ({self.snapshots}) must divide test_samples "
@@ -343,6 +351,8 @@ class SweepResult:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return str(int(value))
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -350,10 +360,7 @@ def _fmt(value) -> str:
 
 def write_results(result: SweepResult, path) -> None:
     """Write a sweep table as CSV with the fixed column order."""
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(SWEEP_HEADER) + "\n")
-        for row in result.rows:
-            f.write(",".join(_fmt(getattr(row, col)) for col in SWEEP_HEADER) + "\n")
+    write_rows([vars(row) for row in result.rows], path, SWEEP_HEADER)
 
 
 def read_results(path) -> SweepResult:
@@ -387,13 +394,7 @@ def write_rows(rows: list[dict], path, header: list[str] | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
         for row in rows:
-            f.write(
-                ",".join(
-                    str(int(row[col])) if isinstance(row[col], bool) else _fmt(row[col])
-                    for col in header
-                )
-                + "\n"
-            )
+            f.write(",".join(_fmt(row[col]) for col in header) + "\n")
 
 
 def write_grid(rows: list[dict], path) -> None:
@@ -417,25 +418,35 @@ class _Bank:
     offset_seeds: list[np.random.SeedSequence]
 
 
+def _memo(method):
+    """Cache a Harness method's results in its instance's ``_memo``, keyed by
+    the method name and positional arguments (so 0 and 0.0 share an entry).
+    The cache dies with the instance; ``functools.cache`` on a method would
+    keep every Harness and its banks alive."""
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (method.__name__, *args)
+        if key not in self._memo:
+            self._memo[key] = method(self, *args)
+        return self._memo[key]
+
+    return cached
+
+
 class Harness:
-    """Stateful driver that caches datasets, models, test banks and
-    per-(set, SNR) evaluation results on top of an ExperimentConfig."""
+    """Runs the protocol of an ExperimentConfig, memoizing models, test banks
+    and per-(set, SNR) evaluation results per instance."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        self._models: dict[tuple[int, str], MlpModel] = {}
-        self._banks: dict[tuple[int, float], _Bank] = {}
-        self._crbs: dict[tuple[int, float], tuple[float, float]] = {}
-        self._offset_covs: dict = {}
-        self._model_evals: dict = {}
-        self._raw_evals: dict = {}
+        self._memo: dict[tuple, object] = {}
 
     # -- paths -------------------------------------------------------------
 
     def _artifact_path(self, kind: str, range_idx: int, set_id: str, ext: str) -> str:
-        d = os.path.join(self.cfg.output_dir, kind, self.cfg.range_tag(range_idx))
-        os.makedirs(d, exist_ok=True)
-        return os.path.join(d, f"{set_id}.{ext}")
+        tag = self.cfg.range_tag(range_idx)
+        return os.path.join(self.cfg.output_dir, kind, tag, f"{set_id}.{ext}")
 
     def dataset_path(self, range_idx: int, set_id: str) -> str:
         return self._artifact_path("datasets", range_idx, set_id, "dset")
@@ -453,6 +464,13 @@ class Harness:
 
     # -- dataset construction ---------------------------------------------
 
+    def _draw_trial(self, range_idx: int, snr_db: float, rng):
+        """One random scene and its (low, high) snapshot blocks at ``snr_db``."""
+        cfg = self.cfg
+        lims = cfg.angle_ranges_deg[range_idx]
+        scene = draw_scene(lims, cfg.num_targets, cfg.min_sep_deg, cfg.snapshots, rng)
+        return scene, *synthesize_pair(scene, cfg.low, cfg.high, snr_db, rng)
+
     def _generate_samples(self, range_idx: int, snr_db: float, count: int, rng):
         """Pulse-column sample pairs; a fresh scene every `snapshots` pulses."""
         cfg = self.cfg
@@ -462,14 +480,7 @@ class Harness:
         targets = np.empty((count, hi_dim))
         done = 0
         while done < count:
-            scene = draw_scene(
-                cfg.angle_ranges_deg[range_idx],
-                cfg.num_targets,
-                cfg.min_sep_deg,
-                cfg.snapshots,
-                rng,
-            )
-            bl, bh = synthesize_pair(scene, cfg.low, cfg.high, snr_db, rng)
+            _, bl, bh = self._draw_trial(range_idx, snr_db, rng)
             take = min(cfg.snapshots, count - done)
             inputs[done : done + take] = stack_real_imag(bl).T[:take]
             targets[done : done + take] = stack_real_imag(bh).T[:take]
@@ -540,64 +551,53 @@ class Harness:
         return model
 
     def ensure_model(self, range_idx: int, set_id: str, train_missing: bool = True) -> MlpModel:
-        key = (range_idx, set_id)
-        if key not in self._models:
-            path = self.model_path(range_idx, set_id)
-            if os.path.exists(path):
-                self._models[key] = load_model(path)
-            elif train_missing:
-                self._models[key] = self.train_set(range_idx, set_id)
-            else:
-                raise FileNotFoundError(
-                    f"no trained model for set {set_id!r} "
-                    f"({self.cfg.range_tag(range_idx)}): expected {path}"
-                )
-        return self._models[key]
+        path = self.model_path(range_idx, set_id)
+        if not (train_missing or os.path.exists(path)):
+            raise FileNotFoundError(
+                f"no trained model for set {set_id!r} "
+                f"({self.cfg.range_tag(range_idx)}): expected {path}"
+            )
+        return self._model(range_idx, set_id)
+
+    @_memo
+    def _model(self, range_idx: int, set_id: str) -> MlpModel:
+        """The set's model file if there is one, else a freshly trained model."""
+        path = self.model_path(range_idx, set_id)
+        return load_model(path) if os.path.exists(path) else self.train_set(range_idx, set_id)
 
     # -- test data ---------------------------------------------------------
 
+    @_memo
     def test_bank(self, range_idx: int, snr_db: float) -> _Bank:
-        key = (range_idx, float(snr_db))
-        if key not in self._banks:
-            cfg = self.cfg
-            # hash() of a float is stable across processes for numeric types
-            snr_idx = hash(float(snr_db)) & 0xFFFFFFFF
-            ss = self._seed(3, range_idx, snr_idx)
-            rng = np.random.default_rng(ss)
-            offset_seeds = ss.spawn(cfg.trials)
-            low = np.empty((cfg.trials, cfg.low.virtual_size, cfg.snapshots), dtype=complex)
-            high = np.empty((cfg.trials, cfg.high.virtual_size, cfg.snapshots), dtype=complex)
-            scenes = []
-            for q in range(cfg.trials):
-                scene = draw_scene(
-                    cfg.angle_ranges_deg[range_idx],
-                    cfg.num_targets,
-                    cfg.min_sep_deg,
-                    cfg.snapshots,
-                    rng,
-                )
-                bl, bh = synthesize_pair(scene, cfg.low, cfg.high, snr_db, rng)
-                low[q], high[q] = bl.data, bh.data
-                scenes.append(scene)
-            truths_deg = np.rad2deg([s.angles_rad for s in scenes])
-            self._banks[key] = _Bank(scenes, truths_deg, low, high, offset_seeds)
-        return self._banks[key]
+        cfg = self.cfg
+        # hash() of a float is stable across processes for numeric types
+        snr_idx = hash(float(snr_db)) & 0xFFFFFFFF
+        ss = self._seed(3, range_idx, snr_idx)
+        rng = np.random.default_rng(ss)
+        offset_seeds = ss.spawn(cfg.trials)
+        low = np.empty((cfg.trials, cfg.low.virtual_size, cfg.snapshots), dtype=complex)
+        high = np.empty((cfg.trials, cfg.high.virtual_size, cfg.snapshots), dtype=complex)
+        scenes = []
+        for q in range(cfg.trials):
+            scene, bl, bh = self._draw_trial(range_idx, snr_db, rng)
+            low[q], high[q] = bl.data, bh.data
+            scenes.append(scene)
+        truths_deg = np.rad2deg([s.angles_rad for s in scenes])
+        return _Bank(scenes, truths_deg, low, high, offset_seeds)
 
+    @_memo
     def _offset_cov(self, range_idx: int, snr_db: float, offset_db: float):
         """Covariance stack of the high array re-synthesized at snr + offset
         with the same scenes (fresh noise), one block at a time."""
         # spawn() is stateful: an offset's noise depends on which offsets came first.
-        key = (range_idx, float(snr_db), float(offset_db))
-        if key not in self._offset_covs:
-            bank = self.test_bank(range_idx, snr_db)
-            mn = self.cfg.high.virtual_size
-            covs = np.empty((self.cfg.trials, mn, mn), dtype=complex)
-            for q, (scene, seed) in enumerate(zip(bank.scenes, bank.offset_seeds)):
-                rng = np.random.default_rng(seed.spawn(1)[0])
-                block = synthesize_block(scene, self.cfg.high, snr_db + offset_db, rng)
-                covs[q] = sample_covariance(block).matrix
-            self._offset_covs[key] = CovarianceEstimate(covs, self.cfg.snapshots)
-        return self._offset_covs[key]
+        bank = self.test_bank(range_idx, snr_db)
+        mn = self.cfg.high.virtual_size
+        covs = np.empty((self.cfg.trials, mn, mn), dtype=complex)
+        for q, (scene, seed) in enumerate(zip(bank.scenes, bank.offset_seeds)):
+            rng = np.random.default_rng(seed.spawn(1)[0])
+            block = synthesize_block(scene, self.cfg.high, snr_db + offset_db, rng)
+            covs[q] = sample_covariance(block).matrix
+        return CovarianceEstimate(covs, self.cfg.snapshots)
 
     # -- evaluation --------------------------------------------------------
 
@@ -614,38 +614,34 @@ class Harness:
         estimates = [pick_peaks(music_spectrum(u, array, grid, steering), k)[0] for u in un]
         return doa_mse(np.vstack(estimates), truths_deg), cov
 
+    @_memo
     def _mean_crbs(self, range_idx: int, snr_db: float) -> tuple[float, float]:
         """Trial-averaged (low, high) CRB diagonals of one test bank."""
-        key = (range_idx, float(snr_db))
-        if key not in self._crbs:
-            bank = self.test_bank(range_idx, snr_db)
-            sigma2 = snr_to_noise_var(snr_db)
-            self._crbs[key] = tuple(
-                float(np.mean([
-                    float(np.mean(crb(s.angles_rad, s.rcs, sigma2, arr).diagonal_rad2))
-                    for s in bank.scenes
-                ]))
-                for arr in (self.cfg.low, self.cfg.high)
-            )
-        return self._crbs[key]
+        bank = self.test_bank(range_idx, snr_db)
+        sigma2 = snr_to_noise_var(snr_db)
+        return tuple(
+            float(np.mean([
+                float(np.mean(crb(s.angles_rad, s.rcs, sigma2, arr).diagonal_rad2))
+                for s in bank.scenes
+            ]))
+            for arr in (self.cfg.low, self.cfg.high)
+        )
 
+    @_memo
     def eval_raw(self, range_idx: int, snr_db: float) -> dict:
         """Raw low/high MUSIC baselines and trial-averaged CRBs."""
-        key = (range_idx, float(snr_db))
-        if key not in self._raw_evals:
-            cfg = self.cfg
-            bank = self.test_bank(range_idx, snr_db)
-            mse_low, _ = self._music_mse(bank.low, cfg.low, bank.truths_deg, range_idx)
-            mse_high, high_covs = self._music_mse(bank.high, cfg.high, bank.truths_deg, range_idx)
-            crb_low, crb_high = self._mean_crbs(range_idx, snr_db)
-            self._raw_evals[key] = {
-                "mse_low": mse_low,
-                "mse_high": mse_high,
-                "crb_low": crb_low,
-                "crb_high": crb_high,
-                "high_covs": high_covs,
-            }
-        return self._raw_evals[key]
+        cfg = self.cfg
+        bank = self.test_bank(range_idx, snr_db)
+        mse_low, _ = self._music_mse(bank.low, cfg.low, bank.truths_deg, range_idx)
+        mse_high, high_covs = self._music_mse(bank.high, cfg.high, bank.truths_deg, range_idx)
+        crb_low, crb_high = self._mean_crbs(range_idx, snr_db)
+        return {
+            "mse_low": mse_low,
+            "mse_high": mse_high,
+            "crb_low": crb_low,
+            "crb_high": crb_high,
+            "high_covs": high_covs,
+        }
 
     def _predict_bank(self, range_idx: int, set_id: str, snr_db: float) -> np.ndarray:
         """Emulated high-array blocks for every trial of a test bank, as a
@@ -660,21 +656,18 @@ class Harness:
             out[q] = predict(model, SnapshotBlock(y, snr_db, cfg.low), cfg.high).data
         return out
 
+    @_memo
     def eval_model(self, range_idx: int, set_id: str, snr_db: float) -> dict:
         """Evaluate one trained set at one test SNR: emulated DOA MSE plus
         covariance fidelity against the actual high array."""
-        key = (range_idx, set_id, float(snr_db))
-        if key not in self._model_evals:
-            cfg = self.cfg
-            preds = self._predict_bank(range_idx, set_id, snr_db)
-            truths = self.test_bank(range_idx, snr_db).truths_deg
-            mse, pred_covs = self._music_mse(preds, cfg.high, truths, range_idx)
-            self._model_evals[key] = {
-                "mse": mse,
-                "r_e": self.r_offset(range_idx, snr_db, 0.0, pred_covs),
-                "r_offset": self.r_offset(range_idx, snr_db, self._eval_offset, pred_covs),
-            }
-        return self._model_evals[key]
+        preds = self._predict_bank(range_idx, set_id, snr_db)
+        truths = self.test_bank(range_idx, snr_db).truths_deg
+        mse, pred_covs = self._music_mse(preds, self.cfg.high, truths, range_idx)
+        return {
+            "mse": mse,
+            "r_e": self.r_offset(range_idx, snr_db, 0.0, pred_covs),
+            "r_offset": self.r_offset(range_idx, snr_db, self._eval_offset, pred_covs),
+        }
 
     @property
     def _eval_offset(self) -> float:
@@ -726,8 +719,6 @@ class Harness:
         """
         if case not in CASES:
             raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
-        if self.cfg.trials < 1:
-            raise ValueError("configuration yields zero test trials")
         if case == "mixed_M1":
             return self.set_sweep("M1")
         cfg = self.cfg

@@ -13,7 +13,6 @@ so a snapshot block stacks directly into a batch of columns.
 from __future__ import annotations
 
 import os
-import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -403,9 +402,9 @@ def save_model(model: MlpModel, path) -> None:
         raise ValueError("refusing to save a model without normalization statistics")
     with atomic_write(path) as f:
         f.write(MODEL_MAGIC)
-        f.write(struct.pack("<II", MODEL_VERSION, len(model.layer_dims)))
-        f.write(struct.pack(f"<{len(model.layer_dims)}I", *model.layer_dims))
-        f.write(struct.pack("<B", ACTIVATIONS.index(model.output_activation)))
+        dims = model.layer_dims
+        f.write(np.array([MODEL_VERSION, len(dims), *dims], dtype="<u4").tobytes())
+        f.write(np.array(ACTIVATIONS.index(model.output_activation), dtype="u1").tobytes())
         f.write(np.ascontiguousarray(model.norm_in, dtype="<f8").tobytes())
         f.write(np.ascontiguousarray(model.norm_out, dtype="<f8").tobytes())
         for w, b in zip(model.weights, model.biases):
@@ -417,8 +416,10 @@ def save_model(model: MlpModel, path) -> None:
 def atomic_write(path):
     """Open a hidden temp file beside ``path`` for binary writing and move it
     onto ``path`` only once the block finishes; on any error the temp file is
-    removed, so ``path`` never holds a partly written file."""
+    removed, so ``path`` never holds a partly written file.  The target's
+    directory is created if it is missing."""
     head, name = os.path.split(path)
+    os.makedirs(head or os.curdir, exist_ok=True)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:

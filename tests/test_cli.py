@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import os
 
 import pytest
 
 from arrayemu.cli import main
+from arrayemu.harness import CASES
 
 
 def write_tiny_config(tmp_path):
@@ -56,6 +58,15 @@ def test_eval_missing_model_exits_1(tmp_path, capsys):
     rc = main(["eval", "--config", str(cfg), "--train-set", "snr_0"])
     assert rc == 1
     assert "snr_0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # no empty models/ or results/ left behind
+
+
+@pytest.mark.parametrize("override", ["test_samples=0", "test_samples=-20", "snapshots=0"])
+def test_config_without_a_test_trial_exits_1(tmp_path, capsys, override):
+    cfg = write_tiny_config(tmp_path)
+    assert main(["crb", "--config", str(cfg), "--set", override]) == 1
+    assert capsys.readouterr().err.startswith("arrayemu: error:")
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_on_dataset_cut_in_header_exits_1(tmp_path, capsys):
@@ -121,3 +132,74 @@ def test_grid_flags_are_0_or_1(trained):
     for col in ("is_best", "is_second_best", "within_10pct"):
         assert {row[col] for row in rows} <= {"0", "1"}, col
     assert sum(row["is_best"] == "1" for row in rows) == 3
+
+
+# sha256 of every file the verbs below write on the tiny config over two angle
+# ranges with output_activation = both, as recorded when grid.csv's flags
+# became 0/1.  Any change to a dataset, model or CSV byte shows up here.
+RECORDED_DIGESTS = {
+    "datasets/range_0_25/M1.dset": "15078ba80d77c1fe028ba3eda9256eadc5e3b14282e36e0e29b28818d3720162",
+    "datasets/range_0_25/M2.dset": "d3b6953eb4707dfb90841ba90fe76a0ee1ea6c007f9b853b3c40fc2661731eab",
+    "datasets/range_0_25/snr_-5.dset": "1b1202757822765c08f5fcabf3827695b329e27bb0c16fb87ad872b23ff43f76",
+    "datasets/range_0_25/snr_0.dset": "ae78fc79009bcf1298d750d6ac8c8adec9bd262d12dc90bcce6bbc5b2c265c7e",
+    "datasets/range_0_25/snr_5.dset": "d2c396c1f08f721766ef84757b9094e7b1b2e3a5e8a575e7e53f9e6e2097d823",
+    "datasets/range_20_45/M1.dset": "6382faecf5372cb7da09ac486e489943475c96d984b6e7b0772a92391fc196fc",
+    "datasets/range_20_45/M2.dset": "7ac22ee8cd686a11e382dcdaf9de7d932ebd474ca88543ccadb26139506e4266",
+    "datasets/range_20_45/snr_-5.dset": "ed4127147a3e913ae0e3a8bb61b189e97f0d8a091783bb69e4755a30b3ff0a38",
+    "datasets/range_20_45/snr_0.dset": "82418c980c9c6bce8399edaff048fd94d7a7c95d350d8c714bdb5678290ad3aa",
+    "datasets/range_20_45/snr_5.dset": "ef4381ae811a83d8e40a3ed05c209a13823c17b11e05668cc4d017690467713e",
+    "models/range_0_25/M1.mlp": "bf8cf07af3df91e91eb1d88e4cca5ffc25592d17e2df3551d31c67af711eea86",
+    "models/range_0_25/M2.mlp": "03339da1bfb219e5388c50bd2ec327977c9886eff9d01fce89b0bce3418d72ad",
+    "models/range_0_25/snr_-5.mlp": "690b413d5f3a5577fdd94114905cfeb0f63acd99e0c34a8d66a4a677b1802530",
+    "models/range_0_25/snr_0.mlp": "94dba1f36ca6f13741968ea73380c5838dddbbd7649421fb2836fdfdeca5d9e4",
+    "models/range_0_25/snr_5.mlp": "6df7deb7d2fa15c39637304633220f828e9d5d15ea567934449b753b3038b3ef",
+    "models/range_20_45/M1.mlp": "1176d487e646e3fb4bd6be6e2d40ee9f8a16b8468d74de1642a94dc13fa19de6",
+    "models/range_20_45/M2.mlp": "5f860fc46eaf7ef3af3189c34580a177efb6475d1d99422fe35efc5488bf7d57",
+    "models/range_20_45/snr_-5.mlp": "142f3b9cd468f66c09167f3ef4ca0dfe77faabc064bb7e2435880f37bcb7c9f5",
+    "models/range_20_45/snr_0.mlp": "14e21ece4ed812be8b424a4c04c479927ab245a0786a1dc84573c6a44b4decc1",
+    "models/range_20_45/snr_5.mlp": "333d4ff4f5b8c385cff7494de0c174d052ced2db3a92e8092fad9a4d3102ef80",
+    "results/crb.csv": "b299b41e85dc015098856c511d1c8460b2675f79a591bc5b626347691b04bb2f",
+    "results/denoise.csv": "e251e0f6846bff02df735a69521cb21e1d670a516a70b9bd013019792a405fe8",
+    "results/eval_M1.csv": "fff418fa012732be1f23f5f94e0124a162db481b68e31d09177bb90a454358b5",
+    "results/eval_snr_0.csv": "f92163212bb6006c32e708f99cfac0738fe583cba0a00d8c108a068a2ca526e5",
+    "results/grid.csv": "857fe893835e85e7436427985e9286bb78f96a1714984c069cf522301f861111",
+    "results/sweep_best_of_all.csv": "5ebdee59af7556a465d8addc31fdbbe93493b4ecc55c8c7df15cd7a729739520",
+    "results/sweep_matched_snr.csv": "01781d51c896a5052fdd78eb10bbc98562d35d7e6794a8964723f1d0bee6f264",
+    "results/sweep_mixed_M1.csv": "fff418fa012732be1f23f5f94e0124a162db481b68e31d09177bb90a454358b5",
+    "results/sweep_raw_high.csv": "47fcb3f9fb44ee159913b66def7aa096a075e9e83df0428d30dcdde1debe850f",
+    "results/sweep_raw_low.csv": "d80d1ec2fea792db7edbc51dc250c7df19b860413274b13e473aa5114cf1ae58",
+}
+
+
+def test_every_verb_writes_the_recorded_bytes(tmp_path):
+    cfg = write_tiny_config(tmp_path)
+    common = [
+        "--config", str(cfg),
+        "--set", "angle_ranges_deg=0:25;20:45",
+        "--set", "output_activation=both",
+    ]
+    verbs = [
+        ["gen-data"],
+        ["train"],
+        *(["sweep", "--case", case] for case in CASES),
+        ["eval", "--train-set", "M1"],
+        ["eval", "--train-set", "snr_0"],
+        ["grid"],
+        ["denoise", "--offsets", "0,8,12"],
+        ["crb"],
+    ]
+    for verb in verbs:
+        assert main(verb + common) == 0, verb
+    out = tmp_path / "out"
+    written = sorted(
+        os.path.relpath(os.path.join(d, name), out).replace(os.sep, "/")
+        for d, _, names in os.walk(out)
+        for name in names
+    )
+    assert written == sorted(RECORDED_DIGESTS)
+    changed = [
+        name
+        for name, digest in sorted(RECORDED_DIGESTS.items())
+        if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
+    ]
+    assert changed == [], f"files whose bytes changed: {changed}"

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -50,6 +52,18 @@ def tiny_config(out_dir, **kw):
 
 def file_hash(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def count_calls(monkeypatch, name):
+    """Replace ``harness.<name>`` with a wrapper that records each call."""
+    calls, real = [], getattr(harness_module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness_module, name, counting)
+    return calls
 
 
 class TestConfig:
@@ -312,14 +326,7 @@ class TestTrainingAndEval:
         pairs = [(sid, snr) for snr in cfg.snr_test_db for sid in ("M2", cfg.single_set_id(snr))]
         for sid, snr in pairs:
             h.eval_model(0, sid, snr)
-        calls = []
-        real_predict = harness_module.predict
-
-        def counting_predict(*args, **kwargs):
-            calls.append(args)
-            return real_predict(*args, **kwargs)
-
-        monkeypatch.setattr(harness_module, "predict", counting_predict)
+        calls = count_calls(monkeypatch, "predict")
         known = h.denoise_analysis([first, 0.0])
         assert calls == []
         rows = h.denoise_analysis([other])
@@ -328,11 +335,34 @@ class TestTrainingAndEval:
         for row, known_row, cold_row in zip(rows, known, cold):
             assert {**row, **known_row} == cold_row
 
+    def test_eval_model_predicts_each_trial_once(self, harness, monkeypatch):
+        h = Harness(harness.cfg)
+        calls = count_calls(monkeypatch, "predict")
+        first = h.eval_model(0, "snr_0", 0.0)
+        assert h.eval_model(0, "snr_0", 0) is first
+        assert len(calls) == h.cfg.trials
+
     def test_crb_table(self, harness):
         rows = harness.crb_table()
         assert len(rows) == 3
         for row in rows:
             assert 0 < row["crb_high_rad2"] < row["crb_low_rad2"]
+
+
+class TestMemo:
+    def test_int_and_float_snr_share_one_bank(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, "synthesize_pair")
+        h = Harness(tiny_config(tmp_path))
+        assert h.test_bank(0, 0) is h.test_bank(0, 0.0)
+        assert len(calls) == h.cfg.trials
+
+    def test_dropped_harness_is_freed_with_its_cache(self, tmp_path):
+        h = Harness(tiny_config(tmp_path))
+        h.eval_raw(0, 0.0)
+        ref = weakref.ref(h)
+        del h
+        gc.collect()
+        assert ref() is None
 
 
 @pytest.fixture(scope="module")
