@@ -14,8 +14,9 @@ tables are reproducible byte for byte.
 from __future__ import annotations
 
 import functools
+import itertools
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -71,19 +72,6 @@ DATASET_HEADER = "<u4,<u8,<u4,<u4"
 
 CASES = ("mixed_M1", "matched_snr", "best_of_all", "raw_low", "raw_high")
 
-SWEEP_HEADER = [
-    "angle_range",
-    "train_set_id",
-    "test_snr_db",
-    "doa_mse_rad2",
-    "crb_low",
-    "crb_high",
-    "mse_low_array",
-    "mse_high_array",
-    "r_e",
-    "r_offset",
-]
-
 GRID_HEADER = [
     "angle_range",
     "test_snr_db",
@@ -119,7 +107,7 @@ class ExperimentConfig:
     snr_test_db: list[float] = field(default_factory=_default_snr_grid)
     samples_per_set: int = 8000
     m1_samples: int = 112000
-    m2_samples: int = 7700  # nearest multiple of the 14 training SNRs below 8000
+    m2_samples: int = 7700  # 14 x 550: equal shares of the 14 training SNRs, below 8000
     test_samples: int = 3000
     snapshots: int = 150
     train: TrainConfig = field(default_factory=lambda: TrainConfig(split=(0.75, 0.25, 0.0)))
@@ -146,8 +134,12 @@ class ExperimentConfig:
                 f"({self.test_samples})"
             )
         n_snr = len(self.snr_train_db)
-        for name, size in (("m1_samples", self.m1_samples), ("m2_samples", self.m2_samples)):
-            if size % n_snr != 0:
+        batch = self.train.batch_size
+        for name in ("samples_per_set", "m1_samples", "m2_samples"):
+            size = getattr(self, name)
+            if size < batch:
+                raise ValueError(f"{name} ({size}) must be at least batch_size ({batch})")
+            if name != "samples_per_set" and size % n_snr != 0:
                 raise ValueError(
                     f"{name} ({size}) must be divisible by the number of "
                     f"training SNRs ({n_snr}) for uniform mixing"
@@ -161,6 +153,13 @@ class ExperimentConfig:
                 )
         if self.output_activation not in ("linear", "relu", "both"):
             raise ValueError(f"unknown output_activation {self.output_activation!r}")
+        for r in range(len(self.angle_ranges_deg)):
+            angles = grid_angles(self.spectrum_grid(r))
+            if angles[0] <= -90.0 or angles[-1] >= 90.0:
+                raise ValueError(
+                    f"spectrum grid of {self.range_tag(r)} ({angles[0]:g} to "
+                    f"{angles[-1]:g} deg) must lie inside (-90, 90) deg"
+                )
         ids = self.set_ids
         dupes = sorted({sid for sid in ids if ids.count(sid) > 1})
         if dupes:
@@ -345,6 +344,9 @@ class SweepRow:
     r_offset: float
 
 
+SWEEP_HEADER = [f.name for f in fields(SweepRow)]
+
+
 @dataclass
 class SweepResult:
     rows: list[SweepRow] = field(default_factory=list)
@@ -471,42 +473,36 @@ class Harness:
         scene = draw_scene(lims, cfg.num_targets, cfg.min_sep_deg, cfg.snapshots, rng)
         return scene, *synthesize_pair(scene, cfg.low, cfg.high, snr_db, rng)
 
-    def _generate_samples(self, range_idx: int, snr_db: float, count: int, rng):
-        """Pulse-column sample pairs; a fresh scene every `snapshots` pulses."""
-        cfg = self.cfg
-        lo_dim = 2 * cfg.low.virtual_size
-        hi_dim = 2 * cfg.high.virtual_size
-        inputs = np.empty((count, lo_dim))
-        targets = np.empty((count, hi_dim))
-        done = 0
-        while done < count:
+    def _generate_samples(self, range_idx: int, snr_db: float, inputs, targets, rng):
+        """Fill the rows of ``inputs`` and ``targets`` with pulse-column sample
+        pairs at ``snr_db``; a fresh scene every `snapshots` pulses."""
+        snapshots = self.cfg.snapshots
+        count = len(inputs)
+        for done in range(0, count, snapshots):
             _, bl, bh = self._draw_trial(range_idx, snr_db, rng)
-            take = min(cfg.snapshots, count - done)
+            take = min(snapshots, count - done)
             inputs[done : done + take] = stack_real_imag(bl).T[:take]
             targets[done : done + take] = stack_real_imag(bh).T[:take]
-            done += take
-        labels = np.full(count, snr_db, dtype=np.float32)
-        return labels, inputs, targets
 
     def build_set(self, range_idx: int, set_id: str) -> str:
-        """Generate one training set and write its dataset file."""
+        """Generate one training set and write its dataset file.  A mixed set
+        holds an equal share of every training SNR, in grid order."""
         cfg = self.cfg
-        rng = np.random.default_rng(self._seed(1, range_idx, self._set_index(set_id)))
+        set_idx = self._set_index(set_id)
+        rng = np.random.default_rng(self._seed(1, range_idx, set_idx))
         if set_id in ("M1", "M2"):
-            total = cfg.m1_samples if set_id == "M1" else cfg.m2_samples
-            per_snr = total // len(cfg.snr_train_db)
-            parts = [
-                self._generate_samples(range_idx, snr, per_snr, rng)
-                for snr in cfg.snr_train_db
-            ]
-            labels = np.concatenate([p[0] for p in parts])
-            inputs = np.concatenate([p[1] for p in parts])
-            targets = np.concatenate([p[2] for p in parts])
+            snrs = cfg.snr_train_db
+            per_snr = (cfg.m1_samples if set_id == "M1" else cfg.m2_samples) // len(snrs)
         else:
-            snr = cfg.snr_train_db[cfg.set_ids.index(set_id) - 2]
-            labels, inputs, targets = self._generate_samples(
-                range_idx, snr, cfg.samples_per_set, rng
-            )
+            snrs = [cfg.snr_train_db[set_idx - 2]]
+            per_snr = cfg.samples_per_set
+        count = len(snrs) * per_snr
+        inputs = np.empty((count, 2 * cfg.low.virtual_size))
+        targets = np.empty((count, 2 * cfg.high.virtual_size))
+        for i, snr in enumerate(snrs):
+            rows = slice(i * per_snr, (i + 1) * per_snr)
+            self._generate_samples(range_idx, snr, inputs[rows], targets[rows], rng)
+        labels = np.repeat(np.asarray(snrs, dtype=np.float32), per_snr)
         path = self.dataset_path(range_idx, set_id)
         write_dataset(path, labels, inputs, targets)
         return path
@@ -586,11 +582,14 @@ class Harness:
         return _Bank(scenes, truths_deg, low, high, offset_seeds)
 
     @_memo
-    def _offset_cov(self, range_idx: int, snr_db: float, offset_db: float):
-        """Covariance stack of the high array re-synthesized at snr + offset
-        with the same scenes (fresh noise), one block at a time."""
-        # spawn() is stateful: an offset's noise depends on which offsets came first.
+    def _ref_cov(self, range_idx: int, snr_db: float, offset_db: float) -> CovarianceEstimate:
+        """Covariance stack of the actual high array, the reference of r_e and
+        r_offset: the bank's own high blocks at offset 0, else the same scenes
+        re-synthesized at snr + offset with fresh noise, one block at a time."""
         bank = self.test_bank(range_idx, snr_db)
+        if offset_db == 0.0:
+            return sample_covariance(bank.high)
+        # spawn() is stateful: an offset's noise depends on which offsets came first.
         mn = self.cfg.high.virtual_size
         covs = np.empty((self.cfg.trials, mn, mn), dtype=complex)
         for q, (scene, seed) in enumerate(zip(bank.scenes, bank.offset_seeds)):
@@ -601,18 +600,16 @@ class Harness:
 
     # -- evaluation --------------------------------------------------------
 
-    def _music_mse(self, data, array: ArrayConfig, truths_deg, range_idx: int):
-        """MUSIC DOA MSE over a (Q, MN, P) stack of trial blocks; returns
-        (mse, covariance stack)."""
+    def _music_mse(self, cov: CovarianceEstimate, array: ArrayConfig, truths_deg, range_idx: int):
+        """MUSIC DOA MSE over a (Q, MN, MN) covariance stack of one bank."""
         grid = self.cfg.spectrum_grid(range_idx)
         k = self.cfg.num_targets
-        cov = sample_covariance(data)
         un = noise_subspace(hermitian_eig(cov), k)
         steering = steering_matrix(np.deg2rad(grid_angles(grid)), array)
         # One spectrum matmul per trial: a single (Q, MN-K, G) product
         # raised peak memory for no CPU gain.
         estimates = [pick_peaks(music_spectrum(u, array, grid, steering), k)[0] for u in un]
-        return doa_mse(np.vstack(estimates), truths_deg), cov
+        return doa_mse(np.vstack(estimates), truths_deg)
 
     @_memo
     def _mean_crbs(self, range_idx: int, snr_db: float) -> tuple[float, float]:
@@ -632,20 +629,19 @@ class Harness:
         """Raw low/high MUSIC baselines and trial-averaged CRBs."""
         cfg = self.cfg
         bank = self.test_bank(range_idx, snr_db)
-        mse_low, _ = self._music_mse(bank.low, cfg.low, bank.truths_deg, range_idx)
-        mse_high, high_covs = self._music_mse(bank.high, cfg.high, bank.truths_deg, range_idx)
+        low_cov = sample_covariance(bank.low)
+        high_cov = self._ref_cov(range_idx, snr_db, 0.0)
         crb_low, crb_high = self._mean_crbs(range_idx, snr_db)
         return {
-            "mse_low": mse_low,
-            "mse_high": mse_high,
+            "mse_low": self._music_mse(low_cov, cfg.low, bank.truths_deg, range_idx),
+            "mse_high": self._music_mse(high_cov, cfg.high, bank.truths_deg, range_idx),
             "crb_low": crb_low,
             "crb_high": crb_high,
-            "high_covs": high_covs,
         }
 
-    def _predict_bank(self, range_idx: int, set_id: str, snr_db: float) -> np.ndarray:
-        """Emulated high-array blocks for every trial of a test bank, as a
-        (Q, MN, P) stack."""
+    def _predicted_covs(self, range_idx: int, set_id: str, snr_db: float) -> CovarianceEstimate:
+        """Covariance stack of the emulated high-array blocks of every trial
+        of a test bank; the blocks themselves are not kept."""
         cfg = self.cfg
         model = self.ensure_model(range_idx, set_id)
         bank = self.test_bank(range_idx, snr_db)
@@ -654,19 +650,18 @@ class Harness:
         out = np.empty((cfg.trials, cfg.high.virtual_size, cfg.snapshots), dtype=complex)
         for q, y in enumerate(bank.low):
             out[q] = predict(model, SnapshotBlock(y, snr_db, cfg.low), cfg.high).data
-        return out
+        return sample_covariance(out)
 
     @_memo
     def eval_model(self, range_idx: int, set_id: str, snr_db: float) -> dict:
         """Evaluate one trained set at one test SNR: emulated DOA MSE plus
         covariance fidelity against the actual high array."""
-        preds = self._predict_bank(range_idx, set_id, snr_db)
+        pred = self._predicted_covs(range_idx, set_id, snr_db)
         truths = self.test_bank(range_idx, snr_db).truths_deg
-        mse, pred_covs = self._music_mse(preds, self.cfg.high, truths, range_idx)
         return {
-            "mse": mse,
-            "r_e": self.r_offset(range_idx, snr_db, 0.0, pred_covs),
-            "r_offset": self.r_offset(range_idx, snr_db, self._eval_offset, pred_covs),
+            "mse": self._music_mse(pred, self.cfg.high, truths, range_idx),
+            "r_e": cov_error(self._ref_cov(range_idx, snr_db, 0.0), pred),
+            "r_offset": cov_error(self._ref_cov(range_idx, snr_db, self._eval_offset), pred),
         }
 
     @property
@@ -674,16 +669,14 @@ class Harness:
         """The SNR offset whose r_offset eval_model records."""
         return self.cfg.denoise_offsets_db[0] if self.cfg.denoise_offsets_db else 0.0
 
-    def r_offset(self, range_idx, snr_db, offset_db, pred_covs) -> float:
-        """Mean relative covariance error against the high array at an SNR offset."""
-        if offset_db == 0.0:
-            # Zero offset reduces to the plain covariance error.
-            return cov_error(self.eval_raw(range_idx, snr_db)["high_covs"], pred_covs)
-        return cov_error(self._offset_cov(range_idx, snr_db, offset_db), pred_covs)
-
     # -- protocol cases ----------------------------------------------------
 
-    def _row(self, range_idx, set_id, snr_db, mse, r_e=float("nan"), r_off=float("nan")):
+    def _cells(self):
+        """Every (range index, test SNR) pair, range by range: the row order
+        of the sweep, grid and CRB tables."""
+        return itertools.product(range(len(self.cfg.angle_ranges_deg)), self.cfg.snr_test_db)
+
+    def _row(self, range_idx, set_id, snr_db, mse, r_e=float("nan"), r_offset=float("nan")):
         raw = self.eval_raw(range_idx, snr_db)
         return SweepRow(
             angle_range=self.cfg.range_tag(range_idx),
@@ -695,19 +688,14 @@ class Harness:
             mse_low_array=raw["mse_low"],
             mse_high_array=raw["mse_high"],
             r_e=r_e,
-            r_offset=r_off,
+            r_offset=r_offset,
         )
-
-    def _model_row(self, range_idx, set_id, snr_db) -> SweepRow:
-        ev = self.eval_model(range_idx, set_id, snr_db)
-        return self._row(range_idx, set_id, snr_db, ev["mse"], ev["r_e"], ev["r_offset"])
 
     def set_sweep(self, set_id: str) -> SweepResult:
         """One trained set over every angle range and test SNR."""
         return SweepResult(rows=[
-            self._model_row(r, set_id, snr)
-            for r in range(len(self.cfg.angle_ranges_deg))
-            for snr in self.cfg.snr_test_db
+            self._row(r, set_id, snr, **self.eval_model(r, set_id, snr))
+            for r, snr in self._cells()
         ])
 
     def run_case_sweep(self, case: str) -> SweepResult:
@@ -723,20 +711,18 @@ class Harness:
             return self.set_sweep("M1")
         cfg = self.cfg
         rows = []
-        for r in range(len(cfg.angle_ranges_deg)):
-            for snr in cfg.snr_test_db:
-                if case in ("raw_low", "raw_high"):
-                    mse = self.eval_raw(r, snr)["mse_" + case.removeprefix("raw_")]
-                    rows.append(self._row(r, case, snr, mse))
-                elif case == "matched_snr":
-                    if float(snr) not in [float(s) for s in cfg.snr_train_db]:
-                        raise ValueError(
-                            f"matched_snr case needs a training set at {snr} dB"
-                        )
-                    rows.append(self._model_row(r, cfg.single_set_id(snr), snr))
-                else:  # best_of_all; min keeps the first of equal MSEs
-                    best = min(cfg.set_ids, key=lambda sid: self.eval_model(r, sid, snr)["mse"])
-                    rows.append(self._model_row(r, best, snr))
+        for r, snr in self._cells():
+            if case in ("raw_low", "raw_high"):
+                mse = self.eval_raw(r, snr)["mse_" + case.removeprefix("raw_")]
+                rows.append(self._row(r, case, snr, mse))
+                continue
+            if case == "matched_snr":
+                if float(snr) not in [float(s) for s in cfg.snr_train_db]:
+                    raise ValueError(f"matched_snr case needs a training set at {snr} dB")
+                sid = cfg.single_set_id(snr)
+            else:  # best_of_all; min keeps the first of equal MSEs
+                sid = min(cfg.set_ids, key=lambda s: self.eval_model(r, s, snr)["mse"])
+            rows.append(self._row(r, sid, snr, **self.eval_model(r, sid, snr)))
         return SweepResult(rows=rows)
 
     def best_train_snr_grid(self) -> list[dict]:
@@ -744,44 +730,41 @@ class Harness:
         within-10%-of-best flags per test SNR."""
         cfg = self.cfg
         rows = []
-        for r in range(len(cfg.angle_ranges_deg)):
-            for snr_test in cfg.snr_test_db:
-                mses = [
-                    self.eval_model(r, cfg.single_set_id(s), snr_test)["mse"]
-                    for s in cfg.snr_train_db
-                ]
-                order = [int(i) for i in np.argsort(mses, kind="stable")]
-                best, second = order[0], (order[1] if len(order) > 1 else -1)
-                for i, snr_train in enumerate(cfg.snr_train_db):
-                    rows.append(
-                        {
-                            "angle_range": cfg.range_tag(r),
-                            "test_snr_db": float(snr_test),
-                            "train_snr_db": float(snr_train),
-                            "doa_mse_rad2": mses[i],
-                            "is_best": i == best,
-                            "is_second_best": i == second,
-                            "within_10pct": mses[i] <= 1.1 * mses[best],
-                        }
-                    )
+        for r, snr_test in self._cells():
+            mses = [
+                self.eval_model(r, cfg.single_set_id(s), snr_test)["mse"]
+                for s in cfg.snr_train_db
+            ]
+            order = [int(i) for i in np.argsort(mses, kind="stable")]
+            best, second = order[0], (order[1] if len(order) > 1 else -1)
+            for i, snr_train in enumerate(cfg.snr_train_db):
+                rows.append(
+                    {
+                        "angle_range": cfg.range_tag(r),
+                        "test_snr_db": float(snr_test),
+                        "train_snr_db": float(snr_train),
+                        "doa_mse_rad2": mses[i],
+                        "is_best": i == best,
+                        "is_second_best": i == second,
+                        "within_10pct": mses[i] <= 1.1 * mses[best],
+                    }
+                )
         return rows
 
     def crb_table(self) -> list[dict]:
         """Trial-averaged low/high CRB diagonals per angle range and test SNR
         (no MUSIC runs involved)."""
-        cfg = self.cfg
         rows = []
-        for r in range(len(cfg.angle_ranges_deg)):
-            for snr in cfg.snr_test_db:
-                crb_low, crb_high = self._mean_crbs(r, snr)
-                rows.append(
-                    {
-                        "angle_range": cfg.range_tag(r),
-                        "test_snr_db": float(snr),
-                        "crb_low_rad2": crb_low,
-                        "crb_high_rad2": crb_high,
-                    }
-                )
+        for r, snr in self._cells():
+            crb_low, crb_high = self._mean_crbs(r, snr)
+            rows.append(
+                {
+                    "angle_range": self.cfg.range_tag(r),
+                    "test_snr_db": float(snr),
+                    "crb_low_rad2": crb_low,
+                    "crb_high_rad2": crb_high,
+                }
+            )
         return rows
 
     def denoise_analysis(self, offsets_db=None) -> list[dict]:
@@ -807,8 +790,10 @@ class Harness:
                     known = {0.0: ev["r_e"], self._eval_offset: ev["r_offset"]}
                     new = [off for off in offsets_db if off not in known]
                     if new:
-                        pred_covs = sample_covariance(self._predict_bank(r, sid, snr))
-                        known.update((off, self.r_offset(r, snr, off, pred_covs)) for off in new)
+                        pred = self._predicted_covs(r, sid, snr)
+                        known.update(
+                            (off, cov_error(self._ref_cov(r, snr, off), pred)) for off in new
+                        )
                     row.update((f"r_offset_{off:g}", known[off]) for off in offsets_db)
                     rows.append(row)
         return rows

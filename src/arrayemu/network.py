@@ -103,6 +103,8 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
+        if self.split[0] <= 0 or self.split[1] <= 0:
+            raise ValueError("split needs positive training and validation fractions")
 
 
 @dataclass

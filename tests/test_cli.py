@@ -69,6 +69,23 @@ def test_config_without_a_test_trial_exits_1(tmp_path, capsys, override):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        "samples_per_set=0",
+        "split=1,0,0",
+        "grid_step_deg=0",
+        "angle_ranges_deg=60:88",
+        "grid_pad_deg=-20",
+    ],
+)
+def test_config_that_cannot_train_or_sweep_exits_1_before_writing(tmp_path, capsys, override):
+    cfg = write_tiny_config(tmp_path)
+    assert main(["train", "--config", str(cfg), "--set", override]) == 1
+    assert capsys.readouterr().err.startswith("arrayemu: error:")
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_on_dataset_cut_in_header_exits_1(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     datasets = tmp_path / "out" / "datasets" / "range_0_25"

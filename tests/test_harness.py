@@ -22,6 +22,7 @@ from arrayemu.harness import (
 )
 from arrayemu import harness as harness_module
 from arrayemu import network
+from arrayemu.music import sample_covariance
 from arrayemu.network import TrainConfig, save_model, train
 
 from oracles import reference_music_mse
@@ -86,6 +87,35 @@ class TestConfig:
         with pytest.raises(ValueError, match="num_targets .* low array"):
             tiny_config(tmp_path, low=low, high=ArrayConfig(8, 8), num_targets=k)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["samples_per_set", "m1_samples", "m2_samples"])
+    def test_set_smaller_than_a_batch_rejected(self, tmp_path, key):
+        # 27 and 15 divide evenly over the 3 training SNRs but are below 30.
+        size = 15 if key == "m2_samples" else 27
+        match = f"{key} \\({size}\\) must be at least batch_size \\(30\\)"
+        with pytest.raises(ValueError, match=match):
+            tiny_config(tmp_path, **{key: size})
+        tiny_config(tmp_path, **{key: 30 if key == "samples_per_set" else 90})
+
+    @pytest.mark.parametrize("split", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.0, 0.5)])
+    def test_split_without_training_or_validation_part_rejected(self, split):
+        with pytest.raises(ValueError, match="positive training and validation"):
+            TrainConfig(split=split)
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(grid_step_deg=0.0), "grid step must be positive"),
+            (dict(grid_pad_deg=-20.0), "empty spectrum grid"),
+            (dict(angle_ranges_deg=[(0.0, 25.0), (60.0, 88.0)]), "range_60_88 \\(55 to 93 deg\\)"),
+            (dict(angle_ranges_deg=[(-85.0, -60.0)]), "inside \\(-90, 90\\)"),
+            (dict(angle_ranges_deg=[(60.0, 85.0)]), "inside \\(-90, 90\\)"),
+        ],
+    )
+    def test_bad_spectrum_grid_rejected(self, tmp_path, kw, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(tmp_path, **kw)
+        tiny_config(tmp_path, angle_ranges_deg=[(-84.5, 84.5)])
 
     def test_set_ids(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -335,6 +365,22 @@ class TestTrainingAndEval:
         for row, known_row, cold_row in zip(rows, known, cold):
             assert {**row, **known_row} == cold_row
 
+    @pytest.mark.parametrize("table", ["best_train_snr_grid", "denoise_analysis"])
+    def test_tables_run_no_raw_music(self, harness, monkeypatch, table):
+        """The grid and denoising tables print no raw-array column, so a fresh
+        Harness builds them without a single eval_raw; a sweep still calls it."""
+        calls, real = [], Harness.eval_raw
+
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(Harness, "eval_raw", counting)
+        assert getattr(Harness(harness.cfg), table)()
+        assert calls == []
+        Harness(harness.cfg).run_case_sweep("matched_snr")
+        assert len(calls) == len(harness.cfg.snr_test_db)
+
     def test_eval_model_predicts_each_trial_once(self, harness, monkeypatch):
         h = Harness(harness.cfg)
         calls = count_calls(monkeypatch, "predict")
@@ -390,7 +436,8 @@ class TestStackedMusic:
             bank.truths_deg, np.vstack([np.rad2deg(s.angles_rad) for s in bank.scenes])
         )
         array, data = getattr(h.cfg, side), getattr(bank, side)
-        mse, cov = h._music_mse(data, array, bank.truths_deg, 0)
+        cov = sample_covariance(data)
+        mse = h._music_mse(cov, array, bank.truths_deg, 0)
         ref_mse, ref_covs = reference_music_mse(
             data, array, bank.truths_deg, h.cfg.spectrum_grid(0), h.cfg.num_targets
         )
