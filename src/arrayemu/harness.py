@@ -305,9 +305,9 @@ def write_dataset(path, snr_labels, inputs, targets) -> None:
         f.write(DATASET_MAGIC)
         header = (DATASET_VERSION, x.shape[0], x.shape[1], t.shape[1])
         f.write(np.array(header, dtype=DATASET_HEADER).tobytes())
-        f.write(labels.tobytes())
-        f.write(x.tobytes())
-        f.write(t.tobytes())
+        f.write(labels.data)
+        f.write(x.data)
+        f.write(t.data)
 
 
 def read_dataset(path):
@@ -410,13 +410,15 @@ def write_grid(rows: list[dict], path) -> None:
 
 @dataclass(frozen=True)
 class _Bank:
-    """One test bank: Q scenes, their low and high blocks as (Q, MN, P)
-    stacks, and a noise seed per trial for the SNR-offset references."""
+    """One test bank: Q scenes, their low blocks as a (Q, MN, P) stack, the
+    (Q, MN, MN) covariance stack of their high blocks (MUSIC and R_e read
+    the high blocks only through it), and a noise seed per trial for the
+    SNR-offset references."""
 
     scenes: list[TargetScene]
     truths_deg: np.ndarray  # (Q, K)
     low: np.ndarray
-    high: np.ndarray
+    high_cov: CovarianceEstimate
     offset_seeds: list[np.random.SeedSequence]
 
 
@@ -572,31 +574,44 @@ class Harness:
         rng = np.random.default_rng(ss)
         offset_seeds = ss.spawn(cfg.trials)
         low = np.empty((cfg.trials, cfg.low.virtual_size, cfg.snapshots), dtype=complex)
-        high = np.empty((cfg.trials, cfg.high.virtual_size, cfg.snapshots), dtype=complex)
         scenes = []
-        for q in range(cfg.trials):
+
+        def draw(q):
             scene, bl, bh = self._draw_trial(range_idx, snr_db, rng)
-            low[q], high[q] = bl.data, bh.data
+            low[q] = bl.data
             scenes.append(scene)
+            return bh
+
+        high_cov = self._high_covs(draw)
         truths_deg = np.rad2deg([s.angles_rad for s in scenes])
-        return _Bank(scenes, truths_deg, low, high, offset_seeds)
+        return _Bank(scenes, truths_deg, low, high_cov, offset_seeds)
+
+    def _high_covs(self, block_of) -> CovarianceEstimate:
+        """(Q, MN, MN) covariance stack of the high-array blocks ``block_of(q)``
+        returns for q = 0, ..., Q-1 in order; each block is dropped once its
+        covariance is formed, so no (Q, MN, P) stack is ever built."""
+        mn = self.cfg.high.virtual_size
+        covs = np.empty((self.cfg.trials, mn, mn), dtype=complex)
+        for q in range(self.cfg.trials):
+            covs[q] = sample_covariance(block_of(q)).matrix
+        # Each matrix is sample_covariance's exactly Hermitian output.
+        return CovarianceEstimate._symmetrized(covs, self.cfg.snapshots)
 
     @_memo
     def _ref_cov(self, range_idx: int, snr_db: float, offset_db: float) -> CovarianceEstimate:
         """Covariance stack of the actual high array, the reference of r_e and
-        r_offset: the bank's own high blocks at offset 0, else the same scenes
-        re-synthesized at snr + offset with fresh noise, one block at a time."""
+        r_offset: the bank's own high covariances at offset 0, else those of
+        the same scenes re-synthesized at snr + offset with fresh noise."""
         bank = self.test_bank(range_idx, snr_db)
         if offset_db == 0.0:
-            return sample_covariance(bank.high)
+            return bank.high_cov
+
         # spawn() is stateful: an offset's noise depends on which offsets came first.
-        mn = self.cfg.high.virtual_size
-        covs = np.empty((self.cfg.trials, mn, mn), dtype=complex)
-        for q, (scene, seed) in enumerate(zip(bank.scenes, bank.offset_seeds)):
-            rng = np.random.default_rng(seed.spawn(1)[0])
-            block = synthesize_block(scene, self.cfg.high, snr_db + offset_db, rng)
-            covs[q] = sample_covariance(block).matrix
-        return CovarianceEstimate(covs, self.cfg.snapshots)
+        def resynthesize(q):
+            rng = np.random.default_rng(bank.offset_seeds[q].spawn(1)[0])
+            return synthesize_block(bank.scenes[q], self.cfg.high, snr_db + offset_db, rng)
+
+        return self._high_covs(resynthesize)
 
     # -- evaluation --------------------------------------------------------
 
@@ -644,13 +659,12 @@ class Harness:
         of a test bank; the blocks themselves are not kept."""
         cfg = self.cfg
         model = self.ensure_model(range_idx, set_id)
-        bank = self.test_bank(range_idx, snr_db)
+        low = self.test_bank(range_idx, snr_db).low
         # One predict per trial: a single forward pass over every column of
         # the bank cost more CPU and memory.
-        out = np.empty((cfg.trials, cfg.high.virtual_size, cfg.snapshots), dtype=complex)
-        for q, y in enumerate(bank.low):
-            out[q] = predict(model, SnapshotBlock(y, snr_db, cfg.low), cfg.high).data
-        return sample_covariance(out)
+        return self._high_covs(
+            lambda q: predict(model, SnapshotBlock(low[q], snr_db, cfg.low), cfg.high)
+        )
 
     @_memo
     def eval_model(self, range_idx: int, set_id: str, snr_db: float) -> dict:

@@ -46,9 +46,22 @@ class CovarianceEstimate:
         if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
             raise ValueError("covariance must be square")
         for mi in m.reshape(-1, *m.shape[-2:]):
-            scale = max(np.linalg.norm(mi), 1.0)
-            if np.linalg.norm(mi - mi.conj().T) > HERMITIAN_RTOL * scale:
-                raise ValueError("covariance matrix is not Hermitian within tolerance")
+            _check_hermitian(mi)
+
+    @classmethod
+    def _symmetrized(cls, matrix: np.ndarray, snapshots_used: int) -> CovarianceEstimate:
+        """Wrap a complex matrix or stack that is Hermitian by construction,
+        such as ``(r + rᴴ)/2``, without the check ``__post_init__`` runs."""
+        est = object.__new__(cls)
+        object.__setattr__(est, "matrix", matrix)
+        object.__setattr__(est, "snapshots_used", snapshots_used)
+        return est
+
+
+def _check_hermitian(m: np.ndarray) -> None:
+    scale = max(np.linalg.norm(m), 1.0)
+    if np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
+        raise ValueError("covariance matrix is not Hermitian within tolerance")
 
 
 @dataclass(frozen=True)
@@ -90,7 +103,7 @@ def sample_covariance(block, window=None) -> CovarianceEstimate:
     r /= ns
     r += r.conj().swapaxes(-2, -1)
     r /= 2.0
-    return CovarianceEstimate(matrix=r, snapshots_used=ns)
+    return CovarianceEstimate._symmetrized(r, ns)
 
 
 def hermitian_eig(cov: CovarianceEstimate) -> EigenStructure:

@@ -436,12 +436,12 @@ def atomic_write(path):
 def read_block(f, shape, path, kind: str, dtype: str = "<f8") -> np.ndarray:
     """Read one little-endian array of ``shape`` from the open file ``f``;
     a short read raises ``ValueError("<path>: truncated <kind> file")``."""
-    dt = np.dtype(dtype)
-    nbytes = dt.itemsize * int(np.prod(shape))
-    buf = f.read(nbytes)
-    if len(buf) != nbytes:
+    out = np.empty(shape, dtype=dtype)
+    # Read straight into the array's bytes: a 0-d or structured array too
+    # is one flat run of unsigned bytes.
+    if f.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
         raise ValueError(f"{path}: truncated {kind} file")
-    return np.frombuffer(buf, dtype=dt).reshape(shape).copy()
+    return out
 
 
 def load_model(path) -> MlpModel:

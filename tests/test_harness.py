@@ -1,12 +1,13 @@
 import gc
 import hashlib
 import os
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from arrayemu.arrays import ArrayConfig
+from arrayemu.arrays import ArrayConfig, SnapshotBlock
 from arrayemu.harness import (
     DATASET_MAGIC,
     ExperimentConfig,
@@ -23,7 +24,7 @@ from arrayemu.harness import (
 from arrayemu import harness as harness_module
 from arrayemu import network
 from arrayemu.music import sample_covariance
-from arrayemu.network import TrainConfig, save_model, train
+from arrayemu.network import TrainConfig, predict, save_model, train
 
 from oracles import reference_music_mse
 
@@ -381,6 +382,20 @@ class TestTrainingAndEval:
         Harness(harness.cfg).run_case_sweep("matched_snr")
         assert len(calls) == len(harness.cfg.snr_test_db)
 
+    def test_predicted_covs_equal_covariances_of_stacked_predictions(self, harness):
+        """Forming each trial's covariance as soon as predict returns gives
+        the same bytes as one sample_covariance of the stacked predictions."""
+        h = Harness(harness.cfg)
+        cfg = h.cfg
+        model = h.ensure_model(0, "snr_0")
+        stacked = np.stack([
+            predict(model, SnapshotBlock(y, 0.0, cfg.low), cfg.high).data
+            for y in h.test_bank(0, 0.0).low
+        ])
+        got = h._predicted_covs(0, "snr_0", 0.0)
+        assert np.array_equal(got.matrix, sample_covariance(stacked).matrix)
+        assert got.snapshots_used == cfg.snapshots
+
     def test_eval_model_predicts_each_trial_once(self, harness, monkeypatch):
         h = Harness(harness.cfg)
         calls = count_calls(monkeypatch, "predict")
@@ -423,37 +438,73 @@ def music_harness(tmp_path_factory):
     return Harness(cfg)
 
 
+def recorded_bank(monkeypatch, cfg, snr_db):
+    """A fresh Harness, its bank at ``snr_db``, and the (Q, MN, P) low and
+    high stacks of the blocks ``synthesize_pair`` returned while the bank
+    was built; the bank itself keeps no high blocks."""
+    pairs, real = [], harness_module.synthesize_pair
+
+    def recording(*args, **kwargs):
+        pairs.append(real(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(harness_module, "synthesize_pair", recording)
+    h = Harness(cfg)
+    bank = h.test_bank(0, snr_db)
+    monkeypatch.setattr(harness_module, "synthesize_pair", real)
+    blocks = {side: np.stack([p[i].data for p in pairs]) for i, side in enumerate(("low", "high"))}
+    return h, bank, blocks
+
+
 class TestStackedMusic:
     @pytest.mark.parametrize("side", ["low", "high"])
     @pytest.mark.parametrize("snr_db", [-16.0, 0.0, 10.0, 300.0])
     def test_bank_mse_and_covariances_match_per_trial_reference(
-        self, music_harness, side, snr_db
+        self, music_harness, monkeypatch, side, snr_db
     ):
         """300 dB is the noiseless bank."""
-        h = music_harness
-        bank = h.test_bank(0, snr_db)
+        h, bank, blocks = recorded_bank(monkeypatch, music_harness.cfg, snr_db)
         assert np.array_equal(
             bank.truths_deg, np.vstack([np.rad2deg(s.angles_rad) for s in bank.scenes])
         )
-        array, data = getattr(h.cfg, side), getattr(bank, side)
-        cov = sample_covariance(data)
+        assert np.array_equal(bank.low, blocks["low"])
+        array, data = getattr(h.cfg, side), blocks[side]
+        cov = sample_covariance(bank.low) if side == "low" else bank.high_cov
         mse = h._music_mse(cov, array, bank.truths_deg, 0)
         ref_mse, ref_covs = reference_music_mse(
             data, array, bank.truths_deg, h.cfg.spectrum_grid(0), h.cfg.num_targets
         )
         assert mse == ref_mse
         assert np.array_equal(cov.matrix, np.stack(ref_covs))
+        assert cov.snapshots_used == h.cfg.snapshots
         if snr_db == 300.0:
             assert mse < 1e-5
 
-    def test_eval_raw_keeps_the_bank_mses(self, music_harness):
-        h = music_harness
-        bank = h.test_bank(0, 0.0)
+    def test_eval_raw_keeps_the_bank_mses(self, music_harness, monkeypatch):
+        h, bank, blocks = recorded_bank(monkeypatch, music_harness.cfg, 0.0)
         raw = h.eval_raw(0, 0.0)
+        assert h._ref_cov(0, 0.0, 0.0) is bank.high_cov
         grid, k = h.cfg.spectrum_grid(0), h.cfg.num_targets
         for side in ("low", "high"):
-            array, data = getattr(h.cfg, side), getattr(bank, side)
+            array, data = getattr(h.cfg, side), blocks[side]
             assert raw["mse_" + side] == reference_music_mse(data, array, bank.truths_deg, grid, k)[0]
+
+    def test_cache_keeps_less_than_the_high_snapshot_stacks(self, music_harness):
+        """After eval_raw at every test SNR, the memo holds less than the
+        banks' (Q, MN, P) high-array snapshot stacks would take alone."""
+        cfg = music_harness.cfg
+        stack_bytes = cfg.trials * cfg.high.virtual_size * cfg.snapshots * 16
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            h = Harness(cfg)
+            for snr in cfg.snr_test_db:
+                h.eval_raw(0, snr)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < len(cfg.snr_test_db) * stack_bytes
 
 
 class TestResultsCsv:

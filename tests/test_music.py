@@ -12,6 +12,7 @@ from arrayemu.arrays import (
     synthesize_block,
     virtual_steering,
 )
+from arrayemu import music
 from arrayemu.music import (
     CovarianceEstimate,
     doa_mse,
@@ -101,6 +102,25 @@ class TestHermitianEig:
     def test_non_hermitian_rejected(self):
         with pytest.raises(ValueError):
             CovarianceEstimate(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex), 1)
+
+    def test_only_outside_covariances_are_checked(self, monkeypatch):
+        """sample_covariance's (r + rᴴ)/2 is exactly Hermitian, so its result
+        skips the check; a CovarianceEstimate built from outside checks
+        every matrix of its stack."""
+        checked, real = [], music._check_hermitian
+
+        def counting(m):
+            checked.append(m.shape)
+            return real(m)
+
+        monkeypatch.setattr(music, "_check_hermitian", counting)
+        rng = np.random.default_rng(6)
+        y = rng.standard_normal((5, 4, 8)) + 1j * rng.standard_normal((5, 4, 8))
+        cov = sample_covariance(y)
+        assert checked == []
+        assert np.array_equal(cov.matrix, cov.matrix.conj().swapaxes(-2, -1))
+        CovarianceEstimate(cov.matrix, cov.snapshots_used)
+        assert checked == [(4, 4)] * 5
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_non_hermitian_matrix_in_a_stack_rejected(self, bad):
