@@ -35,6 +35,8 @@ __all__ = [
 # Rejection-sampling budget for draw_scene before declaring the spacing
 # constraint infeasible.
 MAX_REJECTIONS = 10**6
+# Candidate scenes draw_scene draws per uniform() call.
+_SCENE_BATCH = 64
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -197,30 +199,36 @@ def draw_scene(range_deg, k: int, min_sep_deg: float, pulses: int, rng) -> Targe
             f"separated by >= {min_sep_deg} deg"
         )
     rng = _as_rng(rng)
-    rejections = 0
-    while True:
-        # Plain floats: a K-element numpy sort/diff costs more than the draw.
-        angles = sorted(rng.uniform(lo, hi, size=k).tolist())
-        if all(b - a >= min_sep_deg for a, b in zip(angles, angles[1:])):
+    # Test candidates a batch at a time.  One uniform() call of n*K draws
+    # gives the same candidates as n calls of K, so the scene is the one a
+    # candidate-by-candidate loop would accept, and the cap counts the same
+    # candidates.
+    start = rng.bit_generator.state
+    tried = 0
+    while tried < MAX_REJECTIONS:
+        batch = min(_SCENE_BATCH, MAX_REJECTIONS - tried)
+        candidates = np.sort(rng.uniform(lo, hi, size=(batch, k)), axis=1)
+        accepted = (candidates[:, 1:] - candidates[:, :-1] >= min_sep_deg).all(axis=1)
+        if accepted.any():
+            hit = int(accepted.argmax())
             break
-        rejections += 1
-        if rejections >= MAX_REJECTIONS:
-            raise ValueError(
-                f"separation constraint of {min_sep_deg} deg in [{lo}, {hi}] "
-                f"not satisfied after {MAX_REJECTIONS} rejections"
-            )
+        tried += batch
+    else:
+        raise ValueError(
+            f"separation constraint of {min_sep_deg} deg in [{lo}, {hi}] "
+            f"not satisfied after {MAX_REJECTIONS} rejections"
+        )
+    # Rewind and redraw up to the accepted candidate, so the generator ends
+    # where that loop would leave it, ready for the reflectivity draw.
+    rng.bit_generator.state = start
+    rng.uniform(lo, hi, size=(tried + hit + 1) * k)
     rcs = draw_rcs(k, pulses, rng)
-    return TargetScene(angles_rad=np.deg2rad(angles), rcs=rcs)
+    return TargetScene(angles_rad=np.deg2rad(candidates[hit]), rcs=rcs)
 
 
 def snr_to_noise_var(snr_db: float) -> float:
     """Per-entry noise variance for unit per-target signal power."""
     return 10.0 ** (-snr_db / 10.0)
-
-
-def _complex_noise(shape, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    scale = np.sqrt(sigma2 / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
 def synthesize_block(scene: TargetScene, cfg: ArrayConfig, snr_db: float, rng) -> SnapshotBlock:
@@ -235,7 +243,13 @@ def synthesize_block(scene: TargetScene, cfg: ArrayConfig, snr_db: float, rng) -
     sigma2 = snr_to_noise_var(snr_db)
     y = a @ scene.rcs
     if sigma2 > 0:
-        y = y + _complex_noise(y.shape, sigma2, rng)
+        # One draw holds the real then the imaginary parts, the stream of two
+        # separate draws; adding each part in place gives the same bits as
+        # adding scale * (re + 1j*im).
+        noise = rng.standard_normal((2, *y.shape))
+        noise *= np.sqrt(sigma2 / 2.0)
+        y.real += noise[0]
+        y.imag += noise[1]
     return SnapshotBlock(data=y, snr_db=snr_db, array=cfg)
 
 

@@ -631,11 +631,10 @@ class Harness:
         """Trial-averaged (low, high) CRB diagonals of one test bank."""
         bank = self.test_bank(range_idx, snr_db)
         sigma2 = snr_to_noise_var(snr_db)
+        angles = np.stack([s.angles_rad for s in bank.scenes])
+        rcs = np.stack([s.rcs for s in bank.scenes])
         return tuple(
-            float(np.mean([
-                float(np.mean(crb(s.angles_rad, s.rcs, sigma2, arr).diagonal_rad2))
-                for s in bank.scenes
-            ]))
+            float(np.mean(np.mean(crb(angles, rcs, sigma2, arr).diagonal_rad2, axis=-1)))
             for arr in (self.cfg.low, self.cfg.high)
         )
 

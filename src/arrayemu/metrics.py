@@ -74,23 +74,44 @@ def crb(angles_rad, x: np.ndarray, sigma2: float, cfg: ArrayConfig) -> CrbResult
     CRB = (sigma^2 / 2) * inv(Re[(A_e^H P A_e) ∘ (X X^H)^T]) with P the
     projector onto the orthogonal complement of the steering-matrix range;
     the Hadamard product carries the per-snapshot reflectivity weighting.
+
+    A (Q, K) angle stack with a (Q, K, N_s) reflectivity stack gives Q
+    bounds at once, a (Q, K, K) matrix and a (Q, K) diagonal, each equal
+    to that scene's own bound.
     """
-    angles_rad = np.atleast_1d(np.asarray(angles_rad, dtype=float))
-    x = np.atleast_2d(np.asarray(x, dtype=complex))
-    k = angles_rad.size
-    if x.shape[0] != k:
+    angles_rad = np.asarray(angles_rad, dtype=float)
+    x = np.asarray(x, dtype=complex)
+    stacked = angles_rad.ndim == 2
+    if not stacked:
+        angles_rad, x = np.atleast_1d(angles_rad)[None], np.atleast_2d(x)[None]
+    q, k = angles_rad.shape
+    if x.ndim != 3 or x.shape[:2] != (q, k):
         raise ValueError("reflectivity matrix must have one row per target")
     if not sigma2 > 0:
         raise ValueError("noise variance must be positive")
-    a = steering_matrix(angles_rad, cfg)
-    gram = a.conj().T @ a
-    if np.linalg.cond(gram) > _COND_LIMIT:
+    mn = cfg.virtual_size
+
+    def per_scene(columns):
+        # (MN, Q*K) columns -> a contiguous (Q, MN, K) stack.
+        return np.ascontiguousarray(columns.reshape(mn, q, k).transpose(1, 0, 2))
+
+    flat = angles_rad.ravel()
+    a = per_scene(steering_matrix(flat, cfg))
+    ah = a.conj().swapaxes(-2, -1)
+    gram = ah @ a
+    if np.any(np.linalg.cond(gram) > _COND_LIMIT):
         raise ValueError("steering matrix is rank deficient (coincident angles?)")
-    ae = _derivative_factor(angles_rad, cfg) * a
-    mn = a.shape[0]
-    proj = np.eye(mn) - a @ np.linalg.solve(gram, a.conj().T)
-    fisher = np.real((ae.conj().T @ proj @ ae) * (x @ x.conj().T).T)
-    if np.linalg.cond(fisher) > _COND_LIMIT:
+    ae = per_scene(_derivative_factor(flat, cfg)) * a
+    # P = I - A (A^H A)^-1 A^H, written over the product: a second
+    # (Q, MN, MN) temporary cost more in page faults than the arithmetic.
+    proj = a @ np.linalg.solve(gram, ah)
+    np.subtract(np.eye(mn), proj, out=proj)
+    xxh = x @ x.conj().swapaxes(-2, -1)
+    fisher = np.real((ae.conj().swapaxes(-2, -1) @ proj @ ae) * xxh.swapaxes(-2, -1))
+    if np.any(np.linalg.cond(fisher) > _COND_LIMIT):
         raise ValueError("degenerate scene: Fisher information is singular")
     bound = (sigma2 / 2.0) * np.linalg.inv(fisher)
-    return CrbResult(matrix=bound, diagonal_rad2=np.diag(bound).copy())
+    diagonal = np.diagonal(bound, axis1=-2, axis2=-1).copy()
+    if not stacked:
+        bound, diagonal = bound[0], diagonal[0]
+    return CrbResult(matrix=bound, diagonal_rad2=diagonal)

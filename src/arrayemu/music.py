@@ -107,13 +107,12 @@ def sample_covariance(block, window=None) -> CovarianceEstimate:
 
 
 def hermitian_eig(cov: CovarianceEstimate) -> EigenStructure:
-    """Full eigendecomposition with eigenvalues sorted descending."""
+    """Full eigendecomposition with eigenvalues sorted descending.
+
+    ``eigh`` returns them ascending, so both fields are reversed views.
+    """
     w, u = np.linalg.eigh(cov.matrix)
-    order = np.argsort(w, axis=-1)[..., ::-1]
-    return EigenStructure(
-        eigenvalues=np.take_along_axis(w, order, axis=-1),
-        eigenvectors=np.take_along_axis(u, order[..., None, :], axis=-1),
-    )
+    return EigenStructure(eigenvalues=w[..., ::-1], eigenvectors=u[..., ::-1])
 
 
 def noise_subspace(eig: EigenStructure, k: int) -> np.ndarray:

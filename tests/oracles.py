@@ -4,8 +4,9 @@ These deliberately avoid the library's code paths (and numpy's eigensolver)
 so they can serve as oracles: a cyclic Jacobi eigensolver for Hermitian
 matrices, a loop-based MLP forward pass, central finite differences for
 gradients, a loop-based MUSIC pseudospectrum, and the straightforward forms
-of the training loop, of the scene sampler and of the per-trial MUSIC
-evaluation that the library's faster versions must reproduce bit for bit.
+of the training loop, of the scene sampler, of the snapshot noise and of
+the per-trial MUSIC evaluation that the library's faster versions must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -191,17 +192,37 @@ def reference_train(inputs, targets, cfg):
     return best[:n_w], best[n_w:], history
 
 
-def reference_draw_scene(range_deg, k, min_sep_deg, pulses, rng):
+def reference_draw_scene(range_deg, k, min_sep_deg, pulses, rng, max_rejections=None):
     """Rejection sampler with a numpy sort and diff per candidate, followed
-    by the Swerling-II reflectivity draw.  Returns (angles_rad, rcs)."""
+    by the Swerling-II reflectivity draw.  Returns (angles_rad, rcs).
+
+    With ``max_rejections`` it counts rejected candidates and raises
+    ValueError when the count reaches it."""
     lo, hi = float(range_deg[0]), float(range_deg[1])
+    rejections = 0
     while True:
         angles = np.sort(rng.uniform(lo, hi, size=k))
         if k == 1 or np.all(np.diff(angles) >= min_sep_deg):
             break
+        rejections += 1
+        if max_rejections is not None and rejections >= max_rejections:
+            raise ValueError(f"not satisfied after {max_rejections} rejections")
     re = rng.standard_normal((k, pulses))
     im = rng.standard_normal((k, pulses))
     return np.deg2rad(angles), (re + 1j * im) / np.sqrt(2.0)
+
+
+def reference_synthesize_block(scene, cfg, snr_db, rng):
+    """Y = A X + N with the noise drawn as two separate real and imaginary
+    arrays and added as ``scale * (re + 1j*im)``.  Returns the data array."""
+    from arrayemu.arrays import steering_matrix
+
+    y = steering_matrix(scene.angles_rad, cfg) @ scene.rcs
+    sigma2 = 10.0 ** (-snr_db / 10.0)
+    if sigma2 > 0:
+        scale = np.sqrt(sigma2 / 2.0)
+        y = y + scale * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+    return y
 
 
 def reference_pick_peaks(values: np.ndarray, grid_deg: np.ndarray, k: int):

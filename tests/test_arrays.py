@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arrayemu import arrays as arrays_module
 from arrayemu.arrays import (
     ArrayConfig,
     TargetScene,
@@ -11,15 +12,32 @@ from arrayemu.arrays import (
     steering_matrix,
     steering_rx,
     steering_tx,
+    synthesize_block,
     synthesize_pair,
     virtual_steering,
 )
 
-from oracles import reference_draw_scene
+from oracles import reference_draw_scene, reference_synthesize_block
 
 
 def deg(x):
     return np.deg2rad(x)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def outcome(draw, seed):
+    """``draw(rng)``'s result, or None if it raised ValueError, and the
+    generator state it left."""
+    rng = np.random.default_rng(seed)
+    try:
+        result = draw(rng)
+    except ValueError:
+        result = None
+    return result, rng.bit_generator.state
 
 
 class TestSteering:
@@ -184,6 +202,47 @@ class TestDrawScene:
             assert np.array_equal(scene.rcs, ref_rcs)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    # (0, 15.5) with 3.5 deg spacing: about 100 candidates per scene, so the
+    # caps below end inside the first, second and third batch and on the
+    # boundaries between them.
+    SPARSE = ((0.0, 15.5), 4, 3.5)
+
+    def _compare_capped(self, monkeypatch, seed, cap):
+        monkeypatch.setattr(arrays_module, "MAX_REJECTIONS", cap)
+        range_deg, k, sep = self.SPARSE
+        got, got_state = outcome(lambda rng: draw_scene(range_deg, k, sep, 3, rng), seed)
+        ref, ref_state = outcome(
+            lambda rng: reference_draw_scene(range_deg, k, sep, 3, rng, max_rejections=cap), seed
+        )
+        assert (got is None) == (ref is None), (seed, cap)
+        if got is not None:
+            assert same_bits(got.angles_rad, ref[0])
+            assert same_bits(got.rcs, ref[1])
+        assert got_state == ref_state
+        return got is None
+
+    @pytest.mark.parametrize("cap_in_batches", [1 / 64, 0.5, 1, 1 + 1 / 64, 2, 2.5])
+    def test_rejection_cap_matches_counting_reference(self, monkeypatch, cap_in_batches):
+        """A cap inside a batch or on a batch boundary raises exactly when the
+        candidate-by-candidate sampler does, with the same generator state."""
+        cap = max(1, round(cap_in_batches * arrays_module._SCENE_BATCH))
+        raised = [self._compare_capped(monkeypatch, seed, cap) for seed in range(60)]
+        if cap >= arrays_module._SCENE_BATCH:
+            assert 0 < sum(raised) < len(raised)
+
+    def test_rejection_cap_edge_per_seed(self, monkeypatch):
+        """A scene accepted at candidate n is returned under a cap of n + 1
+        rejections and refused under a cap of n."""
+        range_deg, k, sep = self.SPARSE
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n = 0
+            while not np.all(np.diff(np.sort(rng.uniform(*range_deg, size=k))) >= sep):
+                n += 1
+            assert not self._compare_capped(monkeypatch, seed, n + 1)
+            if n > 0:
+                assert self._compare_capped(monkeypatch, seed, n)
+
     def test_seed_determinism(self):
         s1 = draw_scene((0, 25), 4, 5.0, pulses=8, rng=42)
         s2 = draw_scene((0, 25), 4, 5.0, pulses=8, rng=42)
@@ -266,3 +325,40 @@ class TestSynthesizePair:
         bl, bh = synthesize_pair(scene, self.low, self.high, 0.0, rng=3)
         assert bl.data.shape[0] == 4
         assert bh.data.shape[0] == 6
+
+
+class TestNoiseOracle:
+    """synthesize_block's single noise draw equals two separate real and
+    imaginary draws added as scale * (re + 1j*im), bit for bit."""
+
+    low = ArrayConfig(4, 4)
+    high = ArrayConfig(8, 8)
+    SNRS = [-16.0, -3.5, 0.0, 6.0, 40.0, np.inf]
+
+    @pytest.mark.parametrize("snr_db", SNRS)
+    def test_block_bit_identical(self, snr_db):
+        for seed in range(10):
+            scene = draw_scene((0, 25), 4, 5.0, pulses=9, rng=seed)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            block = synthesize_block(scene, self.high, snr_db, rng)
+            ref = reference_synthesize_block(scene, self.high, snr_db, ref_rng)
+            assert same_bits(block.data, ref)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("snr_db", SNRS)
+    def test_pair_bit_identical(self, snr_db):
+        for seed in range(10):
+            scene = draw_scene((20, 45), 4, 5.0, pulses=9, rng=seed)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            bl, bh = synthesize_pair(scene, self.low, self.high, snr_db, rng)
+            assert same_bits(bl.data, reference_synthesize_block(scene, self.low, snr_db, ref_rng))
+            assert same_bits(bh.data, reference_synthesize_block(scene, self.high, snr_db, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_noiseless_draws_nothing(self):
+        scene = draw_scene((0, 25), 2, 5.0, pulses=5, rng=1)
+        rng = np.random.default_rng(2)
+        before = rng.bit_generator.state
+        block = synthesize_block(scene, self.low, np.inf, rng)
+        assert rng.bit_generator.state == before
+        assert same_bits(block.data, steering_matrix(scene.angles_rad, self.low) @ scene.rcs)

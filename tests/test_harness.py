@@ -409,6 +409,22 @@ class TestTrainingAndEval:
         for row in rows:
             assert 0 < row["crb_high_rad2"] < row["crb_low_rad2"]
 
+    def test_mean_crbs_one_crb_call_per_array_and_bank(self, tmp_path, monkeypatch):
+        """Each bank's CRB average is one stacked crb call per array, and it
+        equals the average of the per-scene bounds bit for bit."""
+        h = Harness(tiny_config(tmp_path))
+        calls = count_calls(monkeypatch, "crb")
+        rows = h.crb_table()
+        assert len(calls) == 2 * len(rows)
+        for row, (r, snr) in zip(rows, h._cells()):
+            sigma2 = harness_module.snr_to_noise_var(snr)
+            for side, array in (("low", h.cfg.low), ("high", h.cfg.high)):
+                per_scene = [
+                    float(np.mean(harness_module.crb(s.angles_rad, s.rcs, sigma2, array).diagonal_rad2))
+                    for s in h.test_bank(r, snr).scenes
+                ]
+                assert row[f"crb_{side}_rad2"] == float(np.mean(per_scene))
+
 
 class TestMemo:
     def test_int_and_float_snr_share_one_bank(self, tmp_path, monkeypatch):

@@ -101,3 +101,44 @@ class TestCrb:
         a = steering_matrix(angles, cfg)
         columns = np.column_stack([steering_derivative(t, cfg) for t in angles])
         assert np.array_equal(_derivative_factor(angles, cfg) * a, columns)
+
+
+class TestCrbStack:
+    """crb over a (Q, K) angle stack and a (Q, K, P) reflectivity stack."""
+
+    @staticmethod
+    def scenes(count, k, seed):
+        rng = np.random.default_rng(seed)
+        scenes = [draw_scene((20, 45), k, 5.0, pulses=30, rng=rng) for _ in range(count)]
+        return scenes, np.stack([s.angles_rad for s in scenes]), np.stack([s.rcs for s in scenes])
+
+    @pytest.mark.parametrize("cfg", [ArrayConfig(4, 4), ArrayConfig(8, 8)])
+    def test_bit_identical_to_per_scene_calls(self, cfg):
+        scenes, angles, rcs = self.scenes(7, 4, seed=11)
+        for sigma2 in (0.25, 10**1.6):
+            stacked = crb(angles, rcs, sigma2, cfg)
+            assert stacked.matrix.shape == (7, 4, 4)
+            assert stacked.diagonal_rad2.shape == (7, 4)
+            for q, scene in enumerate(scenes):
+                single = crb(scene.angles_rad, scene.rcs, sigma2, cfg)
+                assert single.matrix.shape == (4, 4)
+                assert single.diagonal_rad2.shape == (4,)
+                assert stacked.matrix[q].tobytes() == single.matrix.tobytes()
+                assert stacked.diagonal_rad2[q].tobytes() == single.diagonal_rad2.tobytes()
+
+    def test_coincident_scene_in_stack_rejected(self):
+        cfg = ArrayConfig(4, 4)
+        _, angles, rcs = self.scenes(5, 3, seed=4)
+        angles[2, 1] = angles[2, 0]
+        with pytest.raises(ValueError, match="rank deficient") as single:
+            crb(angles[2], rcs[2], 1.0, cfg)
+        with pytest.raises(ValueError, match="rank deficient") as stacked:
+            crb(angles, rcs, 1.0, cfg)
+        assert str(stacked.value) == str(single.value)
+
+    def test_stack_rcs_mismatch_rejected(self):
+        _, angles, rcs = self.scenes(3, 2, seed=5)
+        with pytest.raises(ValueError, match="one row per target"):
+            crb(angles, rcs[:2], 1.0, ArrayConfig(4, 4))
+        with pytest.raises(ValueError, match="one row per target"):
+            crb(angles, rcs[0], 1.0, ArrayConfig(4, 4))
