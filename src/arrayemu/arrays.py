@@ -13,7 +13,7 @@ API boundaries that explicitly say so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,17 +100,12 @@ class TargetScene:
     def num_targets(self) -> int:
         return self.angles_rad.size
 
-    @property
-    def pulse_count(self) -> int:
-        return self.rcs.shape[1]
-
 
 @dataclass(frozen=True)
 class SnapshotBlock:
     """Complex (M*N) x P virtual-array observation block."""
 
     data: np.ndarray
-    snr_db: float
     array: ArrayConfig
 
     def __post_init__(self):
@@ -120,10 +115,6 @@ class SnapshotBlock:
                 f"snapshot block must have {self.array.virtual_size} rows, "
                 f"got shape {self.data.shape}"
             )
-
-    @property
-    def pulse_count(self) -> int:
-        return self.data.shape[1]
 
 
 def _check_angle(theta_rad) -> None:
@@ -250,7 +241,7 @@ def synthesize_block(scene: TargetScene, cfg: ArrayConfig, snr_db: float, rng) -
         noise *= np.sqrt(sigma2 / 2.0)
         y.real += noise[0]
         y.imag += noise[1]
-    return SnapshotBlock(data=y, snr_db=snr_db, array=cfg)
+    return SnapshotBlock(data=y, array=cfg)
 
 
 def synthesize_pair(

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -75,15 +74,14 @@ def _load_config(args) -> ExperimentConfig:
             raise KeyError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
-    if args.config:
-        cfg = parse_config_file(args.config, overrides)
-    else:
-        cfg = config_from_items(overrides)
+    # --seed and --out win over the config file and every --set.
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        overrides["seed"] = str(args.seed)
     if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
-    return cfg
+        overrides["output_dir"] = args.out
+    if args.config:
+        return parse_config_file(args.config, overrides)
+    return config_from_items(overrides)
 
 
 def _write_csv(cfg: ExperimentConfig, name: str, writer, table) -> None:

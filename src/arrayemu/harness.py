@@ -254,9 +254,9 @@ def config_from_items(items: dict[str, str]) -> ExperimentConfig:
         except (ValueError, TypeError) as exc:
             raise ValueError(f"bad value for config key {key!r}: {raw!r}") from exc
 
-    spacing = parsed.pop("spacing_wavelengths", 0.5)
-    kwargs = {}
     defaults = ExperimentConfig()
+    spacing = parsed.pop("spacing_wavelengths", defaults.low.spacing_wavelengths)
+    kwargs = {}
     low_tx = parsed.pop("low_tx", defaults.low.tx_count)
     low_rx = parsed.pop("low_rx", defaults.low.rx_count)
     high_tx = parsed.pop("high_tx", defaults.high.tx_count)
@@ -265,9 +265,7 @@ def config_from_items(items: dict[str, str]) -> ExperimentConfig:
     kwargs["high"] = ArrayConfig(high_tx, high_rx, spacing)
 
     train_kwargs = {k: parsed.pop(k) for k in list(parsed) if k in _TRAIN_KEYS}
-    if "split" not in train_kwargs:
-        train_kwargs["split"] = (0.75, 0.25, 0.0)
-    kwargs["train"] = TrainConfig(**train_kwargs)
+    kwargs["train"] = replace(defaults.train, **train_kwargs)
     kwargs.update(parsed)
     return ExperimentConfig(**kwargs)
 
@@ -410,16 +408,20 @@ def write_grid(rows: list[dict], path) -> None:
 
 @dataclass(frozen=True)
 class _Bank:
-    """One test bank: Q scenes, their low blocks as a (Q, MN, P) stack, the
-    (Q, MN, MN) covariance stack of their high blocks (MUSIC and R_e read
-    the high blocks only through it), and a noise seed per trial for the
-    SNR-offset references."""
+    """One test bank: Q scenes as a (Q, K) angle and a (Q, K, P) reflectivity
+    stack, their low blocks as a (Q, MN, P) stack, the (Q, MN, MN) covariance
+    stack of their high blocks (MUSIC and R_e read the high blocks only
+    through it), and a noise seed per trial for the SNR-offset references."""
 
-    scenes: list[TargetScene]
-    truths_deg: np.ndarray  # (Q, K)
+    angles_rad: np.ndarray
+    rcs: np.ndarray
     low: np.ndarray
     high_cov: CovarianceEstimate
     offset_seeds: list[np.random.SeedSequence]
+
+    @property
+    def truths_deg(self) -> np.ndarray:
+        return np.rad2deg(self.angles_rad)
 
 
 def _memo(method):
@@ -573,18 +575,17 @@ class Harness:
         ss = self._seed(3, range_idx, snr_idx)
         rng = np.random.default_rng(ss)
         offset_seeds = ss.spawn(cfg.trials)
-        low = np.empty((cfg.trials, cfg.low.virtual_size, cfg.snapshots), dtype=complex)
-        scenes = []
+        trials, k, p = cfg.trials, cfg.num_targets, cfg.snapshots
+        angles, rcs = np.empty((trials, k)), np.empty((trials, k, p), dtype=complex)
+        low = np.empty((trials, cfg.low.virtual_size, p), dtype=complex)
 
         def draw(q):
             scene, bl, bh = self._draw_trial(range_idx, snr_db, rng)
-            low[q] = bl.data
-            scenes.append(scene)
+            angles[q], rcs[q], low[q] = scene.angles_rad, scene.rcs, bl.data
             return bh
 
         high_cov = self._high_covs(draw)
-        truths_deg = np.rad2deg([s.angles_rad for s in scenes])
-        return _Bank(scenes, truths_deg, low, high_cov, offset_seeds)
+        return _Bank(angles, rcs, low, high_cov, offset_seeds)
 
     def _high_covs(self, block_of) -> CovarianceEstimate:
         """(Q, MN, MN) covariance stack of the high-array blocks ``block_of(q)``
@@ -609,7 +610,8 @@ class Harness:
         # spawn() is stateful: an offset's noise depends on which offsets came first.
         def resynthesize(q):
             rng = np.random.default_rng(bank.offset_seeds[q].spawn(1)[0])
-            return synthesize_block(bank.scenes[q], self.cfg.high, snr_db + offset_db, rng)
+            scene = TargetScene(bank.angles_rad[q], bank.rcs[q])
+            return synthesize_block(scene, self.cfg.high, snr_db + offset_db, rng)
 
         return self._high_covs(resynthesize)
 
@@ -631,10 +633,8 @@ class Harness:
         """Trial-averaged (low, high) CRB diagonals of one test bank."""
         bank = self.test_bank(range_idx, snr_db)
         sigma2 = snr_to_noise_var(snr_db)
-        angles = np.stack([s.angles_rad for s in bank.scenes])
-        rcs = np.stack([s.rcs for s in bank.scenes])
         return tuple(
-            float(np.mean(np.mean(crb(angles, rcs, sigma2, arr).diagonal_rad2, axis=-1)))
+            float(np.mean(crb(bank.angles_rad, bank.rcs, sigma2, arr).diagonal_rad2.mean(axis=-1)))
             for arr in (self.cfg.low, self.cfg.high)
         )
 
@@ -662,7 +662,7 @@ class Harness:
         # One predict per trial: a single forward pass over every column of
         # the bank cost more CPU and memory.
         return self._high_covs(
-            lambda q: predict(model, SnapshotBlock(low[q], snr_db, cfg.low), cfg.high)
+            lambda q: predict(model, SnapshotBlock(low[q], cfg.low), cfg.high)
         )
 
     @_memo

@@ -81,20 +81,16 @@ class SpectrumResult:
     values: np.ndarray
 
 
-def sample_covariance(block, window=None) -> CovarianceEstimate:
-    """Average outer product (1/N_s) sum_p y_p y_p^H over a pulse window.
+def sample_covariance(block) -> CovarianceEstimate:
+    """Average outer product (1/N_s) sum_p y_p y_p^H over all pulses.
 
     ``block`` is a SnapshotBlock or a (Q, MN, P) array of Q trials' blocks,
-    which gives a (Q, MN, MN) stack.  ``window`` is any index expression
-    over pulses (slice, list, range); defaults to all pulses.  The result
-    is explicitly symmetrized.
+    which gives a (Q, MN, MN) stack.  The result is explicitly symmetrized.
     """
     y = block.data if isinstance(block, SnapshotBlock) else np.asarray(block, dtype=complex)
-    if window is not None:
-        y = y[..., window]
     ns = y.shape[-1]
     if ns < 1:
-        raise ValueError("covariance window must contain at least one pulse")
+        raise ValueError("covariance needs at least one pulse")
     # One product per trial into one stack: a batched matmul would first
     # copy the conjugate of every block, which raised peak memory.
     r = np.empty(y.shape[:-1] + (y.shape[-2],), dtype=complex)
@@ -153,8 +149,9 @@ def music_spectrum(un: np.ndarray, cfg: ArrayConfig, grid, steering=None) -> Spe
             f"steering matrix has shape {steering.shape}, grid needs "
             f"{(cfg.virtual_size, grid_deg.size)}"
         )
-    denom = np.sum(np.abs(un.conj().T @ steering) ** 2, axis=0)
-    denom = np.maximum(denom, DENOM_FLOOR)
+    # Squared in place: one (MN-K, G) temporary fewer, the same bits.
+    power = np.abs(un.conj().T @ steering)
+    denom = np.maximum(np.sum(np.square(power, out=power), axis=0), DENOM_FLOOR)
     return SpectrumResult(grid_deg=grid_deg, values=1.0 / denom)
 
 

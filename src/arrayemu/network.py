@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, SnapshotBlock
+from .arrays import ArrayConfig, SnapshotBlock, _as_rng
 
 __all__ = [
     "MlpModel",
@@ -109,19 +109,15 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    """Adam first/second-moment accumulators mirroring the parameter list."""
+    """Adam first/second-moment accumulators of one parameter array."""
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
 
     @classmethod
-    def zeros_like(cls, params: list[np.ndarray]) -> "OptimizerState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            step=0,
-        )
+    def zeros_like(cls, param: np.ndarray) -> "OptimizerState":
+        return cls(m=np.zeros_like(param), v=np.zeros_like(param))
 
 
 def stack_real_imag(block: SnapshotBlock) -> np.ndarray:
@@ -129,12 +125,12 @@ def stack_real_imag(block: SnapshotBlock) -> np.ndarray:
     return np.vstack([block.data.real, block.data.imag])
 
 
-def unstack_real_imag(data: np.ndarray, cfg: ArrayConfig, snr_db: float) -> SnapshotBlock:
+def unstack_real_imag(data: np.ndarray, cfg: ArrayConfig) -> SnapshotBlock:
     """Inverse of stack_real_imag, rebuilding a complex SnapshotBlock."""
     half = data.shape[0] // 2
     if data.shape[0] != 2 * cfg.virtual_size:
         raise ValueError("stacked row count does not match the array size")
-    return SnapshotBlock(data=data[:half] + 1j * data[half:], snr_db=snr_db, array=cfg)
+    return SnapshotBlock(data=data[:half] + 1j * data[half:], array=cfg)
 
 
 def minmax_fit(data: np.ndarray) -> np.ndarray:
@@ -228,32 +224,27 @@ def mlp_backward(model: MlpModel, x: np.ndarray, target: np.ndarray):
 
 def adam_step(
     state: OptimizerState,
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
+    param: np.ndarray,
+    grad: np.ndarray,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     epsilon: float = 1e-8,
-) -> list[np.ndarray]:
-    """One Adam update with bias correction.
-
-    Updates ``state`` and every array of ``params`` in place, and returns
-    ``params`` itself: the returned arrays are the arrays passed in.
-    """
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise TrainingError("non-finite gradient passed to the optimizer")
+) -> None:
+    """One Adam update with bias correction of ``state`` and ``param``, both
+    in place."""
+    if not np.all(np.isfinite(grad)):
+        raise TrainingError("non-finite gradient passed to the optimizer")
     state.step += 1
     t = state.step
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * g**2
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        p -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
-    return params
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1 - beta1) * grad
+    v *= beta2
+    v += (1 - beta2) * grad**2
+    m_hat = m / (1 - beta1**t)
+    v_hat = v / (1 - beta2**t)
+    param -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
 
 
 def init_model(
@@ -262,7 +253,7 @@ def init_model(
     rng,
 ) -> MlpModel:
     """He-style uniform fan-in initialization, zero biases."""
-    rng = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    rng = _as_rng(rng)
     weights, biases = [], []
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
         limit = np.sqrt(6.0 / fan_in)
@@ -348,7 +339,7 @@ def train(
     model.norm_out = norm_out
 
     flat = _flat_params(model)
-    state = OptimizerState.zeros_like([flat])
+    state = OptimizerState.zeros_like(flat)
     history = {"train": [], "val": []}
     best_val = np.inf
     best = flat.copy()
@@ -363,9 +354,7 @@ def train(
             if not np.isfinite(loss):
                 raise TrainingError(f"loss became non-finite at step {state.step}")
             grad = np.concatenate([g.ravel() for g in gw + gb])
-            adam_step(
-                state, [flat], [grad], cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon
-            )
+            adam_step(state, flat, grad, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
             losses.append(loss)
         val_loss = _mse(model, x_val, t_val)
         history["train"].append(float(np.mean(losses)))
@@ -395,7 +384,7 @@ def predict(model: MlpModel, block: SnapshotBlock, high_array: ArrayConfig) -> S
     if model.output_dim != 2 * high_array.virtual_size:
         raise ValueError("model output does not match the requested high array size")
     out, _ = mlp_forward(model, minmax_apply(x, model.norm_in))
-    return unstack_real_imag(minmax_invert(out, model.norm_out), high_array, block.snr_db)
+    return unstack_real_imag(minmax_invert(out, model.norm_out), high_array)
 
 
 def save_model(model: MlpModel, path) -> None:

@@ -123,6 +123,25 @@ def test_sweep_and_override(tmp_path):
     assert content.count("\n") == 4  # header + 3 test SNRs
 
 
+def test_seed_and_out_flags_win_over_config_and_set(tmp_path):
+    """The config file says seed 11 and ``out``, --set says seed 3 and
+    ``set``; --seed 5 and --out ``flag`` win over both."""
+    cfg = write_tiny_config(tmp_path)
+
+    def crb_csv(out, *flags):
+        assert main(["crb", "--config", str(cfg), *flags]) == 0
+        return (tmp_path / out / "results" / "crb.csv").read_bytes()
+
+    got = crb_csv(
+        "flag",
+        "--set", "seed=3", "--set", f"output_dir={tmp_path / 'set'}",
+        "--seed", "5", "--out", str(tmp_path / "flag"),
+    )
+    assert not (tmp_path / "set").exists() and not (tmp_path / "out").exists()
+    assert got == crb_csv("out", "--set", "seed=5")
+    assert got != crb_csv("out", "--set", "seed=3")
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     tmp_path = tmp_path_factory.mktemp("trained")

@@ -152,6 +152,7 @@ class TestConfig:
     def test_overrides_apply(self, tmp_path):
         cfg = config_from_items({"seed": "7", "snapshots": "10", "test_samples": "100"})
         assert cfg.seed == 7 and cfg.snapshots == 10
+        assert config_from_items({}) == ExperimentConfig()
 
 
 class TestDatasetFiles:
@@ -389,7 +390,7 @@ class TestTrainingAndEval:
         cfg = h.cfg
         model = h.ensure_model(0, "snr_0")
         stacked = np.stack([
-            predict(model, SnapshotBlock(y, 0.0, cfg.low), cfg.high).data
+            predict(model, SnapshotBlock(y, cfg.low), cfg.high).data
             for y in h.test_bank(0, 0.0).low
         ])
         got = h._predicted_covs(0, "snr_0", 0.0)
@@ -418,10 +419,11 @@ class TestTrainingAndEval:
         assert len(calls) == 2 * len(rows)
         for row, (r, snr) in zip(rows, h._cells()):
             sigma2 = harness_module.snr_to_noise_var(snr)
+            bank = h.test_bank(r, snr)
             for side, array in (("low", h.cfg.low), ("high", h.cfg.high)):
                 per_scene = [
-                    float(np.mean(harness_module.crb(s.angles_rad, s.rcs, sigma2, array).diagonal_rad2))
-                    for s in h.test_bank(r, snr).scenes
+                    float(np.mean(harness_module.crb(angles, rcs, sigma2, array).diagonal_rad2))
+                    for angles, rcs in zip(bank.angles_rad, bank.rcs)
                 ]
                 assert row[f"crb_{side}_rad2"] == float(np.mean(per_scene))
 
@@ -457,11 +459,13 @@ def music_harness(tmp_path_factory):
 def recorded_bank(monkeypatch, cfg, snr_db):
     """A fresh Harness, its bank at ``snr_db``, and the (Q, MN, P) low and
     high stacks of the blocks ``synthesize_pair`` returned while the bank
-    was built; the bank itself keeps no high blocks."""
-    pairs, real = [], harness_module.synthesize_pair
+    was built; the bank itself keeps no high blocks.  The dict also holds
+    the "angles_rad" and "rcs" stacks of the scenes synthesize_pair was given."""
+    scenes, pairs, real = [], [], harness_module.synthesize_pair
 
-    def recording(*args, **kwargs):
-        pairs.append(real(*args, **kwargs))
+    def recording(scene, *args, **kwargs):
+        scenes.append(scene)
+        pairs.append(real(scene, *args, **kwargs))
         return pairs[-1]
 
     monkeypatch.setattr(harness_module, "synthesize_pair", recording)
@@ -469,6 +473,7 @@ def recorded_bank(monkeypatch, cfg, snr_db):
     bank = h.test_bank(0, snr_db)
     monkeypatch.setattr(harness_module, "synthesize_pair", real)
     blocks = {side: np.stack([p[i].data for p in pairs]) for i, side in enumerate(("low", "high"))}
+    blocks.update((f, np.stack([getattr(s, f) for s in scenes])) for f in ("angles_rad", "rcs"))
     return h, bank, blocks
 
 
@@ -480,10 +485,9 @@ class TestStackedMusic:
     ):
         """300 dB is the noiseless bank."""
         h, bank, blocks = recorded_bank(monkeypatch, music_harness.cfg, snr_db)
-        assert np.array_equal(
-            bank.truths_deg, np.vstack([np.rad2deg(s.angles_rad) for s in bank.scenes])
-        )
-        assert np.array_equal(bank.low, blocks["low"])
+        for name in ("angles_rad", "rcs", "low"):
+            assert np.array_equal(getattr(bank, name), blocks[name])
+        assert np.array_equal(bank.truths_deg, np.rad2deg(blocks["angles_rad"]))
         array, data = getattr(h.cfg, side), blocks[side]
         cov = sample_covariance(bank.low) if side == "low" else bank.high_cov
         mse = h._music_mse(cov, array, bank.truths_deg, 0)

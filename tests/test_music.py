@@ -30,8 +30,8 @@ from oracles import brute_spectrum, jacobi_eigvals, reference_pick_peaks
 NOISELESS = 400.0  # dB; effectively zero noise
 
 
-def make_block(data, cfg, snr_db=0.0):
-    return SnapshotBlock(data=np.asarray(data, dtype=complex), snr_db=snr_db, array=cfg)
+def make_block(data, cfg):
+    return SnapshotBlock(data=np.asarray(data, dtype=complex), array=cfg)
 
 
 class TestSampleCovariance:
@@ -59,15 +59,10 @@ class TestSampleCovariance:
         assert np.max(np.abs(off)) < 0.05
         assert np.allclose(np.diag(r).real, 1.0, atol=0.05)
 
-    def test_window_selection(self):
-        block = make_block(np.array([[1.0, 5.0], [0.0, 0.0]]), self.cfg12)
-        r = sample_covariance(block, window=slice(0, 1))
-        assert r.matrix[0, 0] == pytest.approx(1.0)
-
-    def test_empty_window_rejected(self):
-        block = make_block(np.array([[1.0], [0.0]]), self.cfg12)
-        with pytest.raises(ValueError):
-            sample_covariance(block, window=slice(0, 0))
+    def test_zero_pulse_block_rejected(self):
+        block = make_block(np.zeros((2, 0)), self.cfg12)
+        with pytest.raises(ValueError, match="at least one pulse"):
+            sample_covariance(block)
 
 
 class TestHermitianEig:

@@ -26,8 +26,8 @@ from arrayemu import network
 from oracles import fd_gradients, forward_chain, reference_train
 
 
-def block(data, m=1, n=1, snr=0.0):
-    return SnapshotBlock(data=np.asarray(data, dtype=complex), snr_db=snr, array=ArrayConfig(m, n))
+def block(data, m=1, n=1):
+    return SnapshotBlock(data=np.asarray(data, dtype=complex), array=ArrayConfig(m, n))
 
 
 class TestStacking:
@@ -44,7 +44,7 @@ class TestStacking:
         rng = np.random.default_rng(0)
         data = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
         b = block(data, m=2, n=2)
-        back = unstack_real_imag(stack_real_imag(b), ArrayConfig(2, 2), 0.0)
+        back = unstack_real_imag(stack_real_imag(b), ArrayConfig(2, 2))
         assert np.array_equal(back.data, data)
 
 
@@ -175,22 +175,21 @@ class TestBackward:
 
 class TestAdam:
     def test_first_step_bias_correction(self):
-        state = OptimizerState.zeros_like([np.zeros(1)])
-        (p,) = adam_step(state, [np.zeros(1)], [np.ones(1)], lr=1e-3)
+        p = np.zeros(1)
+        adam_step(OptimizerState.zeros_like(p), p, np.ones(1), lr=1e-3)
         assert p[0] == pytest.approx(-1e-3 / (1 + 1e-8), rel=1e-12)
 
     def test_zero_gradient_no_motion(self):
-        params = [np.array([1.0, -2.0])]
-        state = OptimizerState.zeros_like(params)
-        (p,) = adam_step(state, params, [np.zeros(2)], lr=0.1)
-        assert np.array_equal(p, params[0])
+        p = np.array([1.0, -2.0])
+        adam_step(OptimizerState.zeros_like(p), p, np.zeros(2), lr=0.1)
+        assert np.array_equal(p, [1.0, -2.0])
 
     def test_two_steps_match_hand_recursion(self):
         lr, b1, b2, eps, g = 1e-3, 0.9, 0.999, 1e-8, 0.5
-        state = OptimizerState.zeros_like([np.zeros(1)])
-        p = [np.zeros(1)]
+        p = np.zeros(1)
+        state = OptimizerState.zeros_like(p)
         for _ in range(2):
-            p = adam_step(state, p, [np.full(1, g)], lr, b1, b2, eps)
+            adam_step(state, p, np.full(1, g), lr, b1, b2, eps)
         # hand recursion
         m = v = 0.0
         ph = 0.0
@@ -198,21 +197,24 @@ class TestAdam:
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             ph -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
-        assert p[0][0] == pytest.approx(ph, abs=1e-12)
+        assert p[0] == pytest.approx(ph, abs=1e-12)
 
-    def test_updates_in_place_and_returns_the_same_arrays(self):
-        params = [np.array([1.0, -2.0]), np.zeros((2, 2))]
-        state = OptimizerState.zeros_like(params)
-        out = adam_step(state, params, [np.ones(2), np.ones((2, 2))], lr=0.1)
-        assert all(o is p for o, p in zip(out, params))
-        assert params[0][0] < 1.0 and params[1][0, 0] < 0.0
+    def test_updates_in_place(self):
+        p = np.array([1.0, -2.0])
+        state = OptimizerState.zeros_like(p)
+        m, v = state.m, state.v
+        assert adam_step(state, p, np.ones(2), lr=0.1) is None
+        assert state.m is m and state.v is v and state.step == 1
+        assert np.all(p < [1.0, -2.0]) and np.all(m > 0) and np.all(v > 0)
 
     def test_nonfinite_gradient_raises(self):
         from arrayemu.network import TrainingError
 
-        state = OptimizerState.zeros_like([np.zeros(1)])
+        p = np.zeros(1)
+        state = OptimizerState.zeros_like(p)
         with pytest.raises(TrainingError):
-            adam_step(state, [np.zeros(1)], [np.full(1, np.nan)], lr=1e-3)
+            adam_step(state, p, np.full(1, np.nan), lr=1e-3)
+        assert state.step == 0 and p[0] == 0.0
 
 
 class TestTrain:
