@@ -2,7 +2,6 @@
 
 from .arrays import (
     ArrayConfig,
-    SnapshotBlock,
     TargetScene,
     draw_rcs,
     draw_scene,

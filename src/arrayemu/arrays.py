@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "ArrayConfig",
     "TargetScene",
-    "SnapshotBlock",
     "steering_tx",
     "steering_rx",
     "virtual_steering",
@@ -99,22 +98,6 @@ class TargetScene:
     @property
     def num_targets(self) -> int:
         return self.angles_rad.size
-
-
-@dataclass(frozen=True)
-class SnapshotBlock:
-    """Complex (M*N) x P virtual-array observation block."""
-
-    data: np.ndarray
-    array: ArrayConfig
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=complex))
-        if self.data.ndim != 2 or self.data.shape[0] != self.array.virtual_size:
-            raise ValueError(
-                f"snapshot block must have {self.array.virtual_size} rows, "
-                f"got shape {self.data.shape}"
-            )
 
 
 def _check_angle(theta_rad) -> None:
@@ -222,8 +205,9 @@ def snr_to_noise_var(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def synthesize_block(scene: TargetScene, cfg: ArrayConfig, snr_db: float, rng) -> SnapshotBlock:
-    """Noisy virtual-array observation Y = A(theta) X + N for one setup."""
+def synthesize_block(scene: TargetScene, cfg: ArrayConfig, snr_db: float, rng) -> np.ndarray:
+    """Noisy virtual-array observation Y = A(theta) X + N for one setup, a
+    complex (M*N, P) array."""
     if scene.num_targets > cfg.max_targets:
         raise ValueError(
             f"{scene.num_targets} targets exceed the identifiability bound "
@@ -241,7 +225,7 @@ def synthesize_block(scene: TargetScene, cfg: ArrayConfig, snr_db: float, rng) -
         noise *= np.sqrt(sigma2 / 2.0)
         y.real += noise[0]
         y.imag += noise[1]
-    return SnapshotBlock(data=y, array=cfg)
+    return y
 
 
 def synthesize_pair(
@@ -250,7 +234,7 @@ def synthesize_pair(
     high: ArrayConfig,
     snr_db: float,
     rng,
-) -> tuple[SnapshotBlock, SnapshotBlock]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Low/high observation pair sharing the same reflectivity matrix.
 
     Noise is drawn independently for the two blocks (they model physically

@@ -59,11 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 default="matched_snr",
                 help="mixed_M1 | matched_snr | best_of_all | raw_low | raw_high",
             )
-        if verb == "denoise":
-            p.add_argument(
-                "--offsets",
-                help="comma-separated SNR offsets in dB (default: config value)",
-            )
     return parser
 
 
@@ -133,10 +128,7 @@ def dispatch(args) -> int:
     elif args.verb == "grid":
         _write_csv(cfg, "grid.csv", write_grid, harness.best_train_snr_grid())
     elif args.verb == "denoise":
-        offsets = None
-        if args.offsets:
-            offsets = [float(p) for p in args.offsets.split(",")]
-        _write_csv(cfg, "denoise.csv", write_rows, harness.denoise_analysis(offsets))
+        _write_csv(cfg, "denoise.csv", write_rows, harness.denoise_analysis())
     elif args.verb == "crb":
         _write_csv(cfg, "crb.csv", write_rows, harness.crb_table())
     return 0

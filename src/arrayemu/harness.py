@@ -22,7 +22,6 @@ import numpy as np
 
 from .arrays import (
     ArrayConfig,
-    SnapshotBlock,
     TargetScene,
     draw_scene,
     snr_to_noise_var,
@@ -581,7 +580,7 @@ class Harness:
 
         def draw(q):
             scene, bl, bh = self._draw_trial(range_idx, snr_db, rng)
-            angles[q], rcs[q], low[q] = scene.angles_rad, scene.rcs, bl.data
+            angles[q], rcs[q], low[q] = scene.angles_rad, scene.rcs, bl
             return bh
 
         high_cov = self._high_covs(draw)
@@ -596,7 +595,7 @@ class Harness:
         for q in range(self.cfg.trials):
             covs[q] = sample_covariance(block_of(q)).matrix
         # Each matrix is sample_covariance's exactly Hermitian output.
-        return CovarianceEstimate._symmetrized(covs, self.cfg.snapshots)
+        return CovarianceEstimate._symmetrized(covs)
 
     @_memo
     def _ref_cov(self, range_idx: int, snr_db: float, offset_db: float) -> CovarianceEstimate:
@@ -640,30 +639,24 @@ class Harness:
 
     @_memo
     def eval_raw(self, range_idx: int, snr_db: float) -> dict:
-        """Raw low/high MUSIC baselines and trial-averaged CRBs."""
+        """Raw low/high MUSIC baselines."""
         cfg = self.cfg
         bank = self.test_bank(range_idx, snr_db)
         low_cov = sample_covariance(bank.low)
         high_cov = self._ref_cov(range_idx, snr_db, 0.0)
-        crb_low, crb_high = self._mean_crbs(range_idx, snr_db)
         return {
             "mse_low": self._music_mse(low_cov, cfg.low, bank.truths_deg, range_idx),
             "mse_high": self._music_mse(high_cov, cfg.high, bank.truths_deg, range_idx),
-            "crb_low": crb_low,
-            "crb_high": crb_high,
         }
 
     def _predicted_covs(self, range_idx: int, set_id: str, snr_db: float) -> CovarianceEstimate:
         """Covariance stack of the emulated high-array blocks of every trial
         of a test bank; the blocks themselves are not kept."""
-        cfg = self.cfg
         model = self.ensure_model(range_idx, set_id)
         low = self.test_bank(range_idx, snr_db).low
         # One predict per trial: a single forward pass over every column of
         # the bank cost more CPU and memory.
-        return self._high_covs(
-            lambda q: predict(model, SnapshotBlock(low[q], cfg.low), cfg.high)
-        )
+        return self._high_covs(lambda q: predict(model, low[q], self.cfg.high))
 
     @_memo
     def eval_model(self, range_idx: int, set_id: str, snr_db: float) -> dict:
@@ -691,13 +684,14 @@ class Harness:
 
     def _row(self, range_idx, set_id, snr_db, mse, r_e=float("nan"), r_offset=float("nan")):
         raw = self.eval_raw(range_idx, snr_db)
+        crb_low, crb_high = self._mean_crbs(range_idx, snr_db)
         return SweepRow(
             angle_range=self.cfg.range_tag(range_idx),
             train_set_id=set_id,
             test_snr_db=float(snr_db),
             doa_mse_rad2=mse,
-            crb_low=raw["crb_low"],
-            crb_high=raw["crb_high"],
+            crb_low=crb_low,
+            crb_high=crb_high,
             mse_low_array=raw["mse_low"],
             mse_high_array=raw["mse_high"],
             r_e=r_e,

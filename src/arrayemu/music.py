@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, SnapshotBlock, steering_matrix
+from .arrays import ArrayConfig, steering_matrix
 
 __all__ = [
     "CovarianceEstimate",
@@ -34,11 +34,9 @@ DENOM_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Hermitian sample covariance, or a (Q, n, n) stack of Q of them, and
-    the snapshot count behind each."""
+    """Hermitian sample covariance, or a (Q, n, n) stack of Q of them."""
 
     matrix: np.ndarray
-    snapshots_used: int
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
@@ -49,12 +47,11 @@ class CovarianceEstimate:
             _check_hermitian(mi)
 
     @classmethod
-    def _symmetrized(cls, matrix: np.ndarray, snapshots_used: int) -> CovarianceEstimate:
+    def _symmetrized(cls, matrix: np.ndarray) -> CovarianceEstimate:
         """Wrap a complex matrix or stack that is Hermitian by construction,
         such as ``(r + rᴴ)/2``, without the check ``__post_init__`` runs."""
         est = object.__new__(cls)
         object.__setattr__(est, "matrix", matrix)
-        object.__setattr__(est, "snapshots_used", snapshots_used)
         return est
 
 
@@ -84,10 +81,10 @@ class SpectrumResult:
 def sample_covariance(block) -> CovarianceEstimate:
     """Average outer product (1/N_s) sum_p y_p y_p^H over all pulses.
 
-    ``block`` is a SnapshotBlock or a (Q, MN, P) array of Q trials' blocks,
+    ``block`` is an (MN, P) array or a (Q, MN, P) stack of Q trials' blocks,
     which gives a (Q, MN, MN) stack.  The result is explicitly symmetrized.
     """
-    y = block.data if isinstance(block, SnapshotBlock) else np.asarray(block, dtype=complex)
+    y = np.asarray(block, dtype=complex)
     ns = y.shape[-1]
     if ns < 1:
         raise ValueError("covariance needs at least one pulse")
@@ -99,7 +96,7 @@ def sample_covariance(block) -> CovarianceEstimate:
     r /= ns
     r += r.conj().swapaxes(-2, -1)
     r /= 2.0
-    return CovarianceEstimate._symmetrized(r, ns)
+    return CovarianceEstimate._symmetrized(r)
 
 
 def hermitian_eig(cov: CovarianceEstimate) -> EigenStructure:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import ArrayConfig, SnapshotBlock, _as_rng
+from .arrays import ArrayConfig, _as_rng
 
 __all__ = [
     "MlpModel",
@@ -120,17 +120,17 @@ class OptimizerState:
         return cls(m=np.zeros_like(param), v=np.zeros_like(param))
 
 
-def stack_real_imag(block: SnapshotBlock) -> np.ndarray:
+def stack_real_imag(block: np.ndarray) -> np.ndarray:
     """Stack a complex block into reals: real parts on top, imaginary below."""
-    return np.vstack([block.data.real, block.data.imag])
+    return np.vstack([block.real, block.imag])
 
 
-def unstack_real_imag(data: np.ndarray, cfg: ArrayConfig) -> SnapshotBlock:
-    """Inverse of stack_real_imag, rebuilding a complex SnapshotBlock."""
-    half = data.shape[0] // 2
-    if data.shape[0] != 2 * cfg.virtual_size:
-        raise ValueError("stacked row count does not match the array size")
-    return SnapshotBlock(data=data[:half] + 1j * data[half:], array=cfg)
+def unstack_real_imag(data: np.ndarray) -> np.ndarray:
+    """Inverse of stack_real_imag, rebuilding the complex block."""
+    half, odd = divmod(data.shape[0], 2)
+    if odd:
+        raise ValueError(f"stacked data needs an even row count, got {data.shape[0]}")
+    return data[:half] + 1j * data[half:]
 
 
 def minmax_fit(data: np.ndarray) -> np.ndarray:
@@ -367,8 +367,9 @@ def train(
     return model, history
 
 
-def predict(model: MlpModel, block: SnapshotBlock, high_array: ArrayConfig) -> SnapshotBlock:
-    """Emulate the high-array observation for a low-array block.
+def predict(model: MlpModel, block: np.ndarray, high_array: ArrayConfig) -> np.ndarray:
+    """Emulate the complex (MN, P) high-array observation for a complex
+    low-array block with ``model.input_dim / 2`` rows.
 
     Columns are processed independently: stack real/imag, normalize with
     the stored input statistics, run the network, undo the output
@@ -376,15 +377,14 @@ def predict(model: MlpModel, block: SnapshotBlock, high_array: ArrayConfig) -> S
     """
     if model.norm_in is None or model.norm_out is None:
         raise ValueError("model has no normalization statistics; train or load it first")
-    x = stack_real_imag(block)
-    if x.shape[0] != model.input_dim:
+    if block.ndim != 2 or 2 * block.shape[0] != model.input_dim:
         raise ValueError(
-            f"stacked input has {x.shape[0]} rows, model expects {model.input_dim}"
+            f"block has shape {block.shape}, model expects {model.input_dim // 2} rows"
         )
     if model.output_dim != 2 * high_array.virtual_size:
         raise ValueError("model output does not match the requested high array size")
-    out, _ = mlp_forward(model, minmax_apply(x, model.norm_in))
-    return unstack_real_imag(minmax_invert(out, model.norm_out), high_array)
+    out, _ = mlp_forward(model, minmax_apply(stack_real_imag(block), model.norm_in))
+    return unstack_real_imag(minmax_invert(out, model.norm_out))
 
 
 def save_model(model: MlpModel, path) -> None:

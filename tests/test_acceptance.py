@@ -111,7 +111,7 @@ def test_01_noiseless_music_exactness():
 def _cov(h):
     from arrayemu.music import CovarianceEstimate
 
-    return CovarianceEstimate(matrix=np.asarray(h, dtype=complex), snapshots_used=1)
+    return CovarianceEstimate(matrix=np.asarray(h, dtype=complex))
 
 
 def test_02_eigensolver_oracle_equivalence():

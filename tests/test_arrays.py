@@ -265,28 +265,28 @@ class TestSynthesizePair:
     def test_noiseless_single_target_column(self):
         scene = TargetScene(angles_rad=np.array([0.3]), rcs=np.array([[2.0 - 1.0j]]))
         bl, _ = synthesize_pair(scene, self.low, self.high, snr_db=400.0, rng=0)
-        assert np.allclose(bl.data[:, 0], scene.rcs[0, 0] * virtual_steering(0.3, self.low), atol=1e-10)
+        assert np.allclose(bl[:, 0], scene.rcs[0, 0] * virtual_steering(0.3, self.low), atol=1e-10)
 
     def test_noiseless_columns_in_signal_span(self):
         scene = draw_scene((0, 25), 2, 5.0, pulses=6, rng=2)
         bl, bh = synthesize_pair(scene, self.low, self.high, snr_db=400.0, rng=1)
         for block, cfg in ((bl, self.low), (bh, self.high)):
             a = steering_matrix(scene.angles_rad, cfg)
-            proj = a @ np.linalg.lstsq(a, block.data, rcond=None)[0]
-            assert np.linalg.norm(block.data - proj) < 1e-10
+            proj = a @ np.linalg.lstsq(a, block, rcond=None)[0]
+            assert np.linalg.norm(block - proj) < 1e-10
 
     def test_noise_variance_calibration(self):
         # zero-signal path: measure pure noise power at 0 dB
         scene = TargetScene(angles_rad=np.array([0.0]), rcs=np.zeros((1, 30_000), dtype=complex))
         bl, _ = synthesize_pair(scene, self.low, self.high, snr_db=0.0, rng=9)
-        assert np.mean(np.abs(bl.data) ** 2) == pytest.approx(1.0, abs=0.02)
+        assert np.mean(np.abs(bl) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_empirical_snr_matches_request(self):
         scene = draw_scene((0, 25), 1, 5.0, pulses=20_000, rng=4)
         for snr_db in (-6.0, 0.0, 6.0):
             bl, _ = synthesize_pair(scene, self.low, self.high, snr_db, rng=8)
             signal = steering_matrix(scene.angles_rad, self.low) @ scene.rcs
-            noise = bl.data - signal
+            noise = bl - signal
             emp = 10 * np.log10(np.mean(np.abs(signal) ** 2) / np.mean(np.abs(noise) ** 2))
             assert emp == pytest.approx(snr_db, abs=0.2)
 
@@ -296,8 +296,8 @@ class TestSynthesizePair:
         bl, bh = synthesize_pair(scene, self.low, self.high, snr_db=400.0, rng=5)
         al = steering_matrix(scene.angles_rad, self.low)
         ah = steering_matrix(scene.angles_rad, self.high)
-        recon = ah @ np.linalg.pinv(al) @ bl.data
-        assert np.linalg.norm(recon - bh.data) < 1e-8
+        recon = ah @ np.linalg.pinv(al) @ bl
+        assert np.linalg.norm(recon - bh) < 1e-8
 
     @pytest.mark.parametrize("m, n, bound", [(4, 4, 6), (8, 8, 14), (1, 2, 1), (2, 3, 3)])
     def test_max_targets_counts_distinct_phase_centres(self, m, n, bound):
@@ -317,14 +317,14 @@ class TestSynthesizePair:
         scene = draw_scene((0, 25), 2, 5.0, pulses=5, rng=2)
         p1 = synthesize_pair(scene, self.low, self.high, 0.0, rng=3)
         p2 = synthesize_pair(scene, self.low, self.high, 0.0, rng=3)
-        assert np.array_equal(p1[0].data, p2[0].data)
-        assert np.array_equal(p1[1].data, p2[1].data)
+        assert np.array_equal(p1[0], p2[0])
+        assert np.array_equal(p1[1], p2[1])
 
     def test_row_count_invariant(self):
         scene = draw_scene((0, 25), 2, 5.0, pulses=5, rng=2)
         bl, bh = synthesize_pair(scene, self.low, self.high, 0.0, rng=3)
-        assert bl.data.shape[0] == 4
-        assert bh.data.shape[0] == 6
+        assert bl.shape[0] == 4
+        assert bh.shape[0] == 6
 
 
 class TestNoiseOracle:
@@ -342,7 +342,7 @@ class TestNoiseOracle:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             block = synthesize_block(scene, self.high, snr_db, rng)
             ref = reference_synthesize_block(scene, self.high, snr_db, ref_rng)
-            assert same_bits(block.data, ref)
+            assert same_bits(block, ref)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("snr_db", SNRS)
@@ -351,8 +351,8 @@ class TestNoiseOracle:
             scene = draw_scene((20, 45), 4, 5.0, pulses=9, rng=seed)
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             bl, bh = synthesize_pair(scene, self.low, self.high, snr_db, rng)
-            assert same_bits(bl.data, reference_synthesize_block(scene, self.low, snr_db, ref_rng))
-            assert same_bits(bh.data, reference_synthesize_block(scene, self.high, snr_db, ref_rng))
+            assert same_bits(bl, reference_synthesize_block(scene, self.low, snr_db, ref_rng))
+            assert same_bits(bh, reference_synthesize_block(scene, self.high, snr_db, ref_rng))
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_noiseless_draws_nothing(self):
@@ -361,4 +361,4 @@ class TestNoiseOracle:
         before = rng.bit_generator.state
         block = synthesize_block(scene, self.low, np.inf, rng)
         assert rng.bit_generator.state == before
-        assert same_bits(block.data, steering_matrix(scene.angles_rad, self.low) @ scene.rcs)
+        assert same_bits(block, steering_matrix(scene.angles_rad, self.low) @ scene.rcs)

@@ -221,7 +221,7 @@ def test_every_verb_writes_the_recorded_bytes(tmp_path):
         ["eval", "--train-set", "M1"],
         ["eval", "--train-set", "snr_0"],
         ["grid"],
-        ["denoise", "--offsets", "0,8,12"],
+        ["denoise", "--set", "denoise_offsets_db=0,8,12"],
         ["crb"],
     ]
     for verb in verbs:

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from arrayemu.arrays import ArrayConfig, SnapshotBlock
+from arrayemu.arrays import ArrayConfig
 from arrayemu.harness import (
     DATASET_MAGIC,
     ExperimentConfig,
@@ -389,13 +389,9 @@ class TestTrainingAndEval:
         h = Harness(harness.cfg)
         cfg = h.cfg
         model = h.ensure_model(0, "snr_0")
-        stacked = np.stack([
-            predict(model, SnapshotBlock(y, cfg.low), cfg.high).data
-            for y in h.test_bank(0, 0.0).low
-        ])
+        stacked = np.stack([predict(model, y, cfg.high) for y in h.test_bank(0, 0.0).low])
         got = h._predicted_covs(0, "snr_0", 0.0)
         assert np.array_equal(got.matrix, sample_covariance(stacked).matrix)
-        assert got.snapshots_used == cfg.snapshots
 
     def test_eval_model_predicts_each_trial_once(self, harness, monkeypatch):
         h = Harness(harness.cfg)
@@ -472,7 +468,7 @@ def recorded_bank(monkeypatch, cfg, snr_db):
     h = Harness(cfg)
     bank = h.test_bank(0, snr_db)
     monkeypatch.setattr(harness_module, "synthesize_pair", real)
-    blocks = {side: np.stack([p[i].data for p in pairs]) for i, side in enumerate(("low", "high"))}
+    blocks = {side: np.stack([p[i] for p in pairs]) for i, side in enumerate(("low", "high"))}
     blocks.update((f, np.stack([getattr(s, f) for s in scenes])) for f in ("angles_rad", "rcs"))
     return h, bank, blocks
 
@@ -496,7 +492,6 @@ class TestStackedMusic:
         )
         assert mse == ref_mse
         assert np.array_equal(cov.matrix, np.stack(ref_covs))
-        assert cov.snapshots_used == h.cfg.snapshots
         if snr_db == 300.0:
             assert mse < 1e-5
 

@@ -6,8 +6,8 @@ from arrayemu.metrics import _derivative_factor, cov_error, crb, steering_deriva
 from arrayemu.music import CovarianceEstimate
 
 
-def cov(matrix, ns=1):
-    return CovarianceEstimate(matrix=np.asarray(matrix, dtype=complex), snapshots_used=ns)
+def cov(matrix):
+    return CovarianceEstimate(matrix=np.asarray(matrix, dtype=complex))
 
 
 def random_cov(n, seed):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from arrayemu.arrays import ArrayConfig, SnapshotBlock
+from arrayemu.arrays import ArrayConfig
 from arrayemu.network import (
     MODEL_MAGIC,
     MlpModel,
@@ -26,26 +26,22 @@ from arrayemu import network
 from oracles import fd_gradients, forward_chain, reference_train
 
 
-def block(data, m=1, n=1):
-    return SnapshotBlock(data=np.asarray(data, dtype=complex), array=ArrayConfig(m, n))
-
-
 class TestStacking:
     def test_single_complex_entry(self):
-        b = block([[1 + 2j]])
-        assert np.array_equal(stack_real_imag(b), [[1.0], [2.0]])
+        assert np.array_equal(stack_real_imag(np.array([[1 + 2j]])), [[1.0], [2.0]])
 
     def test_real_block_bottom_zeros(self):
-        b = block([[1.0, 2.0], [3.0, 4.0]], m=1, n=2)
-        stacked = stack_real_imag(b)
+        stacked = stack_real_imag(np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex))
         assert np.all(stacked[2:] == 0.0)
 
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        b = block(data, m=2, n=2)
-        back = unstack_real_imag(stack_real_imag(b), ArrayConfig(2, 2))
-        assert np.array_equal(back.data, data)
+        assert np.array_equal(unstack_real_imag(stack_real_imag(data)), data)
+
+    def test_odd_row_count_rejected(self):
+        with pytest.raises(ValueError, match="even row count, got 3"):
+            unstack_real_imag(np.ones((3, 2)))
 
 
 class TestMinMax:
@@ -305,24 +301,25 @@ class TestPredict:
         model = self._trained_identity_model()
         rng = np.random.default_rng(10)
         data = 0.3 * (rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5)))
-        b = block(data, m=1, n=2)
-        pred = predict(model, b, ArrayConfig(1, 2))
-        assert np.max(np.abs(pred.data - data)) < 0.1
+        pred = predict(model, data, ArrayConfig(1, 2))
+        assert np.max(np.abs(pred - data)) < 0.1
 
     def test_column_independence(self):
         model = self._trained_identity_model()
         rng = np.random.default_rng(11)
         data = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
-        b = block(data, m=1, n=2)
         perm = np.array([3, 1, 5, 0, 2, 4])
-        pred = predict(model, b, ArrayConfig(1, 2))
-        pred_perm = predict(model, block(data[:, perm], m=1, n=2), ArrayConfig(1, 2))
-        assert np.allclose(pred.data[:, perm], pred_perm.data, atol=1e-12)
+        pred = predict(model, data, ArrayConfig(1, 2))
+        pred_perm = predict(model, data[:, perm], ArrayConfig(1, 2))
+        assert np.allclose(pred[:, perm], pred_perm, atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
+        """A block must be 2-D with input_dim / 2 rows: a block of the wrong
+        array, a 1-D vector and a (Q, MN, P) stack of two trials."""
         model = self._trained_identity_model()
-        with pytest.raises(ValueError):
-            predict(model, block(np.ones((3, 2)), m=1, n=3), ArrayConfig(1, 3))
+        for shape in [(3, 2), (2,), (2, 2, 5)]:
+            with pytest.raises(ValueError, match="model expects 2 rows"):
+                predict(model, np.ones(shape, dtype=complex), ArrayConfig(1, 2))
 
 
 class TestSerialization:
@@ -339,10 +336,9 @@ class TestSerialization:
         for a, b_ in zip(model.weights + model.biases, loaded.weights + loaded.biases):
             assert np.array_equal(a, b_)
         data = 0.1 * (rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4)))
-        b = block(data, m=1, n=2)
         assert np.array_equal(
-            predict(model, b, ArrayConfig(1, 2)).data,
-            predict(loaded, b, ArrayConfig(1, 2)).data,
+            predict(model, data, ArrayConfig(1, 2)),
+            predict(loaded, data, ArrayConfig(1, 2)),
         )
 
     def test_bad_magic_rejected(self, tmp_path):
