@@ -90,8 +90,7 @@ class TargetScene:
         object.__setattr__(self, "rcs", np.asarray(self.rcs, dtype=complex))
         if self.angles_rad.ndim != 1 or self.angles_rad.size < 1:
             raise ValueError("need at least one target angle")
-        if np.any(np.abs(self.angles_rad) >= np.pi / 2):
-            raise ValueError("target angles must lie in (-pi/2, pi/2)")
+        _check_angle(self.angles_rad)
         if self.rcs.ndim != 2 or self.rcs.shape[0] != self.angles_rad.size:
             raise ValueError("rcs must have one row per target")
 

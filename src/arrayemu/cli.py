@@ -16,6 +16,7 @@ import numpy as np
 
 from .arrays import ArrayConfig, TargetScene, draw_rcs, synthesize_block
 from .harness import (
+    CASES,
     CONFIG_KEYS,
     ExperimentConfig,
     Harness,
@@ -54,11 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if verb == "eval":
             p.add_argument("--train-set", default="M1", help="training set id to evaluate")
         if verb == "sweep":
-            p.add_argument(
-                "--case",
-                default="matched_snr",
-                help="mixed_M1 | matched_snr | best_of_all | raw_low | raw_high",
-            )
+            p.add_argument("--case", default="matched_snr", help=" | ".join(CASES))
     return parser
 
 
@@ -80,11 +77,9 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _write_csv(cfg: ExperimentConfig, name: str, writer, table) -> None:
-    """Write ``table`` with ``writer`` to ``results/<name>``, creating the
-    directory only now that there is something to write."""
-    d = os.path.join(cfg.output_dir, "results")
-    os.makedirs(d, exist_ok=True)
-    path = os.path.join(d, name)
+    """Write ``table`` with ``writer`` to ``results/<name>``; the writer
+    creates the directory only now that there is something to write."""
+    path = os.path.join(cfg.output_dir, "results", name)
     writer(table, path)
     print(f"wrote {path}")
 

@@ -71,16 +71,6 @@ DATASET_HEADER = "<u4,<u8,<u4,<u4"
 
 CASES = ("mixed_M1", "matched_snr", "best_of_all", "raw_low", "raw_high")
 
-GRID_HEADER = [
-    "angle_range",
-    "test_snr_db",
-    "train_snr_db",
-    "doa_mse_rad2",
-    "is_best",
-    "is_second_best",
-    "within_10pct",
-]
-
 
 def _default_snr_grid():
     return [float(s) for s in range(-16, 12, 2)]
@@ -118,8 +108,9 @@ class ExperimentConfig:
     output_dir: str = "arrayemu_out"
 
     def __post_init__(self):
-        if not self.snr_train_db or not self.snr_test_db:
-            raise ValueError("SNR lists must be non-empty")
+        for name in ("angle_ranges_deg", "snr_train_db", "snr_test_db"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
         if self.snapshots < 1:
             raise ValueError(f"snapshots ({self.snapshots}) must be at least 1")
         if self.test_samples < self.snapshots:
@@ -385,20 +376,21 @@ def read_results(path) -> SweepResult:
 
 
 def write_rows(rows: list[dict], path, header: list[str] | None = None) -> None:
-    """Write a list of dict rows as CSV; bools become 0/1."""
+    """Write a list of dict rows as CSV, atomically; bools become 0/1.
+    Without ``header`` the columns are the first row's keys, in order."""
     if header is None:
         if not rows:
             raise ValueError("cannot infer a header from an empty table")
         header = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
+    with atomic_write(path) as f:
+        f.write((",".join(header) + "\n").encode())
         for row in rows:
-            f.write(",".join(_fmt(row[col]) for col in header) + "\n")
+            f.write((",".join(_fmt(row[col]) for col in header) + "\n").encode())
 
 
 def write_grid(rows: list[dict], path) -> None:
     """Write a best-training-SNR grid table as CSV."""
-    write_rows(rows, path, GRID_HEADER)
+    write_rows(rows, path)
 
 
 # --------------------------------------------------------------------------
@@ -672,10 +664,17 @@ class Harness:
 
     @property
     def _eval_offset(self) -> float:
-        """The SNR offset whose r_offset eval_model records."""
-        return self.cfg.denoise_offsets_db[0] if self.cfg.denoise_offsets_db else 0.0
+        """The SNR offset whose r_offset eval_model records: the first nonzero
+        entry of denoise_offsets_db (offset 0 would only repeat r_e), else 0."""
+        return next((off for off in self.cfg.denoise_offsets_db if off != 0.0), 0.0)
 
     # -- protocol cases ----------------------------------------------------
+
+    def _matched_set(self, snr_db: float) -> str:
+        """Id of the single-SNR training set whose SNR equals ``snr_db``."""
+        if float(snr_db) not in [float(s) for s in self.cfg.snr_train_db]:
+            raise ValueError(f"matched-SNR model needs a training set at {snr_db} dB")
+        return self.cfg.single_set_id(snr_db)
 
     def _cells(self):
         """Every (range index, test SNR) pair, range by range: the row order
@@ -716,7 +715,6 @@ class Harness:
             raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
         if case == "mixed_M1":
             return self.set_sweep("M1")
-        cfg = self.cfg
         rows = []
         for r, snr in self._cells():
             if case in ("raw_low", "raw_high"):
@@ -724,11 +722,9 @@ class Harness:
                 rows.append(self._row(r, case, snr, mse))
                 continue
             if case == "matched_snr":
-                if float(snr) not in [float(s) for s in cfg.snr_train_db]:
-                    raise ValueError(f"matched_snr case needs a training set at {snr} dB")
-                sid = cfg.single_set_id(snr)
+                sid = self._matched_set(snr)
             else:  # best_of_all; min keeps the first of equal MSEs
-                sid = min(cfg.set_ids, key=lambda s: self.eval_model(r, s, snr)["mse"])
+                sid = min(self.cfg.set_ids, key=lambda s: self.eval_model(r, s, snr)["mse"])
             rows.append(self._row(r, sid, snr, **self.eval_model(r, sid, snr)))
         return SweepResult(rows=rows)
 
@@ -784,7 +780,7 @@ class Harness:
         for r in range(len(cfg.angle_ranges_deg)):
             for kind in ("M2", "matched"):
                 for snr in cfg.snr_test_db:
-                    sid = "M2" if kind == "M2" else cfg.single_set_id(snr)
+                    sid = "M2" if kind == "M2" else self._matched_set(snr)
                     ev = self.eval_model(r, sid, snr)
                     row = {
                         "angle_range": cfg.range_tag(r),

@@ -325,12 +325,10 @@ def train(
     if idx_train.size < 1 or idx_val.size < 1:
         raise ValueError("split leaves an empty training or validation part")
 
-    norm_in = minmax_fit(x[:, idx_train])
-    norm_out = minmax_fit(t[:, idx_train])
-    xn = minmax_apply(x, norm_in)
-    tn = minmax_apply(t, norm_out)
-    x_tr, t_tr = xn[:, idx_train], tn[:, idx_train]
-    x_val, t_val = xn[:, idx_val], tn[:, idx_val]
+    x_tr, t_tr = x[:, idx_train], t[:, idx_train]
+    norm_in, norm_out = minmax_fit(x_tr), minmax_fit(t_tr)
+    x_tr, t_tr = minmax_apply(x_tr, norm_in), minmax_apply(t_tr, norm_out)
+    x_val, t_val = minmax_apply(x[:, idx_val], norm_in), minmax_apply(t[:, idx_val], norm_out)
 
     if layer_dims is None:
         layer_dims = default_layer_dims(x.shape[0], t.shape[0])
@@ -394,13 +392,13 @@ def save_model(model: MlpModel, path) -> None:
     with atomic_write(path) as f:
         f.write(MODEL_MAGIC)
         dims = model.layer_dims
-        f.write(np.array([MODEL_VERSION, len(dims), *dims], dtype="<u4").tobytes())
-        f.write(np.array(ACTIVATIONS.index(model.output_activation), dtype="u1").tobytes())
-        f.write(np.ascontiguousarray(model.norm_in, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.norm_out, dtype="<f8").tobytes())
+        f.write(np.array([MODEL_VERSION, len(dims), *dims], dtype="<u4").data)
+        f.write(np.array(ACTIVATIONS.index(model.output_activation), dtype="u1").data)
+        f.write(np.ascontiguousarray(model.norm_in, dtype="<f8").data)
+        f.write(np.ascontiguousarray(model.norm_out, dtype="<f8").data)
         for w, b in zip(model.weights, model.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+            f.write(np.ascontiguousarray(w, dtype="<f8").data)
+            f.write(np.ascontiguousarray(b, dtype="<f8").data)
 
 
 @contextmanager

@@ -150,6 +150,13 @@ class TestSteeringMatrix:
             steering_matrix(angles, ArrayConfig(2, 3))
 
 
+class TestTargetScene:
+    @pytest.mark.parametrize("bad", [np.pi / 2, -np.pi / 2, np.nan])
+    def test_endfire_or_nan_rejected_when_built(self, bad):
+        with pytest.raises(ValueError, match="outside"):
+            TargetScene(angles_rad=[bad, 0.1], rcs=np.ones((2, 4), dtype=complex))
+
+
 class TestDrawRcs:
     def test_mean_power_is_unity(self):
         x = draw_rcs(2, 50_000, rng=7)

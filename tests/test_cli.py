@@ -170,6 +170,26 @@ def test_grid_flags_are_0_or_1(trained):
     assert sum(row["is_best"] == "1" for row in rows) == 3
 
 
+def test_eval_r_offset_skips_a_zero_offset(trained):
+    """r_offset is recorded at the first nonzero denoising offset; a leading
+    0 would only repeat r_e."""
+    cfg, results = trained
+
+    def eval_m2(offsets):
+        args = ["eval", "--config", str(cfg), "--train-set", "M2"]
+        assert main(args + ["--set", f"denoise_offsets_db={offsets}"]) == 0
+        return (results / "eval_M2.csv").read_bytes()
+
+    assert eval_m2("0,8") == eval_m2("8")
+
+
+def test_denoise_without_a_matched_set_exits_1(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)
+    assert main(["denoise", "--config", str(cfg), "--set", "snr_test_db=3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "arrayemu: error: matched-SNR model needs a training set at 3.0 dB\n"
+
+
 # sha256 of every file the verbs below write on the tiny config over two angle
 # ranges with output_activation = both, as recorded when grid.csv's flags
 # became 0/1.  Any change to a dataset, model or CSV byte shows up here.

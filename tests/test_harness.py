@@ -20,6 +20,7 @@ from arrayemu.harness import (
     read_results,
     write_dataset,
     write_results,
+    write_rows,
 )
 from arrayemu import harness as harness_module
 from arrayemu import network
@@ -76,6 +77,11 @@ class TestConfig:
     def test_mixed_uniformity_enforced(self, tmp_path):
         with pytest.raises(ValueError):
             tiny_config(tmp_path, m1_samples=100)
+
+    @pytest.mark.parametrize("key", ["angle_ranges_deg", "snr_train_db", "snr_test_db"])
+    def test_empty_list_rejected(self, tmp_path, key):
+        with pytest.raises(ValueError, match=f"{key} must be non-empty"):
+            tiny_config(tmp_path, **{key: []})
 
     def test_duplicate_set_ids_rejected(self, tmp_path):
         # Both SNRs print as "snr_1" under the set-id format.
@@ -214,9 +220,18 @@ def write_small_model(path):
     save_model(model, path)
 
 
+def write_small_table(path):
+    write_rows([{"a": 1.0}] * 3, path)
+
+
 class TestAtomicWrites:
     @pytest.mark.parametrize(
-        "name, write", [("d.dset", write_small_dataset), ("m.mlp", write_small_model)]
+        "name, write",
+        [
+            ("d.dset", write_small_dataset),
+            ("m.mlp", write_small_model),
+            ("t.csv", write_small_table),
+        ],
     )
     def test_write_failing_part_way_leaves_directory_unchanged(
         self, tmp_path, monkeypatch, name, write
@@ -239,6 +254,12 @@ class TestAtomicWrites:
             write_small_dataset(path, fill=2.0)
         assert path.read_bytes() == old
         assert os.listdir(tmp_path) == ["d.dset"]
+
+    def test_table_failing_on_a_row_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(KeyError):
+            write_rows([{"a": 1.0}, {}], path, ["a"])
+        assert os.listdir(tmp_path) == []
 
 
 class TestDatasetBuild:
