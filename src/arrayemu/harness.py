@@ -70,6 +70,8 @@ DATASET_VERSION = 1
 DATASET_HEADER = "<u4,<u8,<u4,<u4"
 
 CASES = ("mixed_M1", "matched_snr", "best_of_all", "raw_low", "raw_high")
+# Degrees by which each angle range's MUSIC grid extends past both ends.
+GRID_PAD_DEG = 5.0
 
 
 def _default_snr_grid():
@@ -83,6 +85,9 @@ class ExperimentConfig:
     Defaults are the desk scale: a 4x4 low and 8x8 high setup (16 and 64
     virtual elements), 8000-sample single-SNR sets, a 14x-larger M1, and
     Q = test_samples / snapshots = 20 trials per test SNR.
+
+    ``Harness.train_set`` derives each set's ``train.seed`` and
+    ``train.output_activation`` from ``seed`` and ``output_activation``.
     """
 
     low: ArrayConfig = field(default_factory=lambda: ArrayConfig(4, 4))
@@ -102,7 +107,6 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=lambda: TrainConfig(split=(0.75, 0.25, 0.0)))
     output_activation: str = "linear"  # "linear" | "relu" | "both"
     grid_step_deg: float = 0.1
-    grid_pad_deg: float = 5.0
     denoise_offsets_db: list[float] = field(default_factory=lambda: [8.0, 12.0])
     seed: int = 0
     output_dir: str = "arrayemu_out"
@@ -122,6 +126,13 @@ class ExperimentConfig:
             raise ValueError(
                 f"snapshots ({self.snapshots}) must divide test_samples "
                 f"({self.test_samples})"
+            )
+        default = TrainConfig()
+        derived = (self.train.seed, self.train.output_activation)
+        if derived != (default.seed, default.output_activation):
+            raise ValueError(
+                "train.seed and train.output_activation are derived per training set; "
+                "set seed and output_activation instead"
             )
         n_snr = len(self.snr_train_db)
         batch = self.train.batch_size
@@ -172,7 +183,7 @@ class ExperimentConfig:
 
     def spectrum_grid(self, range_idx: int) -> tuple[float, float, float]:
         lo, hi = self.angle_ranges_deg[range_idx]
-        return (lo - self.grid_pad_deg, hi + self.grid_pad_deg, self.grid_step_deg)
+        return (lo - GRID_PAD_DEG, hi + GRID_PAD_DEG, self.grid_step_deg)
 
 
 # --------------------------------------------------------------------------
@@ -215,22 +226,15 @@ CONFIG_KEYS = {
     "snapshots": int,
     "epochs": int,
     "batch_size": int,
-    "learning_rate": float,
-    "beta1": float,
-    "beta2": float,
-    "epsilon": float,
     "split": lambda s: tuple(float(p) for p in s.split(",")),
     "output_activation": str,
     "grid_step_deg": float,
-    "grid_pad_deg": float,
     "denoise_offsets_db": _parse_float_list,
     "seed": int,
     "output_dir": str,
 }
 
-_TRAIN_KEYS = {
-    "epochs", "batch_size", "learning_rate", "beta1", "beta2", "epsilon", "split",
-}
+_TRAIN_KEYS = {"epochs", "batch_size", "split"}
 
 
 def config_from_items(items: dict[str, str]) -> ExperimentConfig:
@@ -241,23 +245,18 @@ def config_from_items(items: dict[str, str]) -> ExperimentConfig:
             raise KeyError(f"unknown config key {key!r}")
         try:
             parsed[key] = CONFIG_KEYS[key](raw)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, ArithmeticError) as exc:
             raise ValueError(f"bad value for config key {key!r}: {raw!r}") from exc
 
     defaults = ExperimentConfig()
     spacing = parsed.pop("spacing_wavelengths", defaults.low.spacing_wavelengths)
-    kwargs = {}
-    low_tx = parsed.pop("low_tx", defaults.low.tx_count)
-    low_rx = parsed.pop("low_rx", defaults.low.rx_count)
-    high_tx = parsed.pop("high_tx", defaults.high.tx_count)
-    high_rx = parsed.pop("high_rx", defaults.high.rx_count)
-    kwargs["low"] = ArrayConfig(low_tx, low_rx, spacing)
-    kwargs["high"] = ArrayConfig(high_tx, high_rx, spacing)
-
-    train_kwargs = {k: parsed.pop(k) for k in list(parsed) if k in _TRAIN_KEYS}
-    kwargs["train"] = replace(defaults.train, **train_kwargs)
-    kwargs.update(parsed)
-    return ExperimentConfig(**kwargs)
+    for name in ("low", "high"):
+        arr = getattr(defaults, name)
+        tx, rx = parsed.pop(f"{name}_tx", arr.tx_count), parsed.pop(f"{name}_rx", arr.rx_count)
+        parsed[name] = ArrayConfig(tx, rx, spacing)
+    train_kwargs = {k: parsed.pop(k) for k in _TRAIN_KEYS & parsed.keys()}
+    parsed["train"] = replace(defaults.train, **train_kwargs)
+    return ExperimentConfig(**parsed)
 
 
 def parse_config_file(path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -670,11 +669,13 @@ class Harness:
 
     # -- protocol cases ----------------------------------------------------
 
-    def _matched_set(self, snr_db: float) -> str:
-        """Id of the single-SNR training set whose SNR equals ``snr_db``."""
-        if float(snr_db) not in [float(s) for s in self.cfg.snr_train_db]:
-            raise ValueError(f"matched-SNR model needs a training set at {snr_db} dB")
-        return self.cfg.single_set_id(snr_db)
+    def _matched_sets(self) -> dict[float, str]:
+        """Matched single-SNR set id of every test SNR, all checked up front."""
+        trained = [float(s) for s in self.cfg.snr_train_db]
+        for snr in self.cfg.snr_test_db:
+            if float(snr) not in trained:
+                raise ValueError(f"matched-SNR model needs a training set at {snr} dB")
+        return {snr: self.cfg.single_set_id(snr) for snr in self.cfg.snr_test_db}
 
     def _cells(self):
         """Every (range index, test SNR) pair, range by range: the row order
@@ -715,6 +716,7 @@ class Harness:
             raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
         if case == "mixed_M1":
             return self.set_sweep("M1")
+        matched = self._matched_sets() if case == "matched_snr" else {}
         rows = []
         for r, snr in self._cells():
             if case in ("raw_low", "raw_high"):
@@ -722,7 +724,7 @@ class Harness:
                 rows.append(self._row(r, case, snr, mse))
                 continue
             if case == "matched_snr":
-                sid = self._matched_set(snr)
+                sid = matched[snr]
             else:  # best_of_all; min keeps the first of equal MSEs
                 sid = min(self.cfg.set_ids, key=lambda s: self.eval_model(r, s, snr)["mse"])
             rows.append(self._row(r, sid, snr, **self.eval_model(r, sid, snr)))
@@ -776,11 +778,12 @@ class Harness:
         cfg = self.cfg
         if offsets_db is None:
             offsets_db = cfg.denoise_offsets_db
+        matched = self._matched_sets()
         rows = []
         for r in range(len(cfg.angle_ranges_deg)):
             for kind in ("M2", "matched"):
                 for snr in cfg.snr_test_db:
-                    sid = "M2" if kind == "M2" else self._matched_set(snr)
+                    sid = "M2" if kind == "M2" else matched[snr]
                     ev = self.eval_model(r, sid, snr)
                     row = {
                         "angle_range": cfg.range_tag(r),

@@ -45,6 +45,11 @@ __all__ = [
 MODEL_MAGIC = b"AEMU-MLP"
 MODEL_VERSION = 1
 ACTIVATIONS = ("linear", "relu")
+# Adam's step size and moment constants, the defaults of Kingma & Ba (ICLR 2015).
+ADAM_LR = 1e-3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 class TrainingError(RuntimeError):
@@ -86,14 +91,11 @@ class MlpModel:
 
 @dataclass
 class TrainConfig:
-    """Training-loop hyperparameters."""
+    """Training-loop settings.  ``Harness.train_set`` derives ``seed`` and
+    ``output_activation`` per training set."""
 
     epochs: int = 150
     batch_size: int = 120
-    learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     split: tuple[float, float, float] = (0.6, 0.2, 0.2)
     output_activation: str = "linear"
     seed: int = 0
@@ -222,29 +224,21 @@ def mlp_backward(model: MlpModel, x: np.ndarray, target: np.ndarray):
     return grad_w, grad_b, loss
 
 
-def adam_step(
-    state: OptimizerState,
-    param: np.ndarray,
-    grad: np.ndarray,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    epsilon: float = 1e-8,
-) -> None:
+def adam_step(state: OptimizerState, param: np.ndarray, grad: np.ndarray) -> None:
     """One Adam update with bias correction of ``state`` and ``param``, both
-    in place."""
+    in place, with the ``ADAM_*`` constants."""
     if not np.all(np.isfinite(grad)):
         raise TrainingError("non-finite gradient passed to the optimizer")
     state.step += 1
     t = state.step
     m, v = state.m, state.v
-    m *= beta1
-    m += (1 - beta1) * grad
-    v *= beta2
-    v += (1 - beta2) * grad**2
-    m_hat = m / (1 - beta1**t)
-    v_hat = v / (1 - beta2**t)
-    param -= lr * m_hat / (np.sqrt(v_hat) + epsilon)
+    m *= ADAM_BETA1
+    m += (1 - ADAM_BETA1) * grad
+    v *= ADAM_BETA2
+    v += (1 - ADAM_BETA2) * grad**2
+    m_hat = m / (1 - ADAM_BETA1**t)
+    v_hat = v / (1 - ADAM_BETA2**t)
+    param -= ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def init_model(
@@ -352,7 +346,7 @@ def train(
             if not np.isfinite(loss):
                 raise TrainingError(f"loss became non-finite at step {state.step}")
             grad = np.concatenate([g.ravel() for g in gw + gb])
-            adam_step(state, flat, grad, cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.epsilon)
+            adam_step(state, flat, grad)
             losses.append(loss)
         val_loss = _mse(model, x_val, t_val)
         history["train"].append(float(np.mean(losses)))

@@ -174,14 +174,15 @@ def reference_train(inputs, targets, cfg):
             gw, gb, _ = mlp_backward(model, x_tr[:, batch], t_tr[:, batch])
             step += 1
             new = []
+            # Adam's literal defaults (Kingma & Ba), not network's constants.
             for p, g, mi, vi in zip(params, gw + gb, m, v):
-                mi *= cfg.beta1
-                mi += (1 - cfg.beta1) * g
-                vi *= cfg.beta2
-                vi += (1 - cfg.beta2) * g**2
-                m_hat = mi / (1 - cfg.beta1**step)
-                v_hat = vi / (1 - cfg.beta2**step)
-                new.append(p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon))
+                mi *= 0.9
+                mi += (1 - 0.9) * g
+                vi *= 0.999
+                vi += (1 - 0.999) * g**2
+                m_hat = mi / (1 - 0.9**step)
+                v_hat = vi / (1 - 0.999**step)
+                new.append(p - 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8))
             params = new
             model.weights, model.biases = params[:n_w], params[n_w:]
         history["train"].append(mse(x_tr, t_tr))

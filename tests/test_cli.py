@@ -76,7 +76,7 @@ def test_config_without_a_test_trial_exits_1(tmp_path, capsys, override):
         "split=1,0,0",
         "grid_step_deg=0",
         "angle_ranges_deg=60:88",
-        "grid_pad_deg=-20",
+        "angle_ranges_deg=25:0",
     ],
 )
 def test_config_that_cannot_train_or_sweep_exits_1_before_writing(tmp_path, capsys, override):
@@ -101,6 +101,25 @@ def test_workers_is_an_unknown_config_key(tmp_path):
     cfg = write_tiny_config(tmp_path)
     assert main(["crb", "--config", str(cfg), "--set", "workers=2"]) == 2
     assert main(["crb", "--config", str(cfg), "--workers", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "item",
+    ["learning_rate=0.001", "beta1=0.9", "beta2=0.999", "epsilon=1e-8", "grid_pad_deg=5"],
+)
+def test_fixed_setting_is_an_unknown_config_key(tmp_path, item):
+    cfg = write_tiny_config(tmp_path)
+    assert main(["crb", "--config", str(cfg), "--set", item]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", ["0:10:0", "0:inf:1", "0:nan:1"])
+def test_bad_range_form_list_exits_1(tmp_path, capsys, value):
+    cfg = write_tiny_config(tmp_path)
+    assert main(["crb", "--config", str(cfg), "--set", f"snr_test_db={value}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"arrayemu: error: bad value for config key 'snr_test_db': '{value}'\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_gen_data_and_crb(tmp_path, capsys):
@@ -188,6 +207,19 @@ def test_denoise_without_a_matched_set_exits_1(tmp_path, capsys):
     assert main(["denoise", "--config", str(cfg), "--set", "snr_test_db=3"]) == 1
     err = capsys.readouterr().err
     assert err == "arrayemu: error: matched-SNR model needs a training set at 3.0 dB\n"
+
+
+@pytest.mark.parametrize(
+    "verb", [["denoise"], ["sweep", "--case", "matched_snr"]], ids=["denoise", "sweep"]
+)
+def test_unmatched_test_snr_fails_before_writing(tmp_path, capsys, verb):
+    """The matched set of every test SNR is checked before the first cell
+    builds a dataset or trains a model."""
+    cfg = write_tiny_config(tmp_path)
+    assert main([*verb, "--config", str(cfg), "--set", "snr_test_db=5,3"]) == 1
+    err = capsys.readouterr().err
+    assert err == "arrayemu: error: matched-SNR model needs a training set at 3.0 dB\n"
+    assert not (tmp_path / "out").exists()
 
 
 # sha256 of every file the verbs below write on the tiny config over two angle

@@ -9,6 +9,7 @@ import pytest
 
 from arrayemu.arrays import ArrayConfig
 from arrayemu.harness import (
+    CONFIG_KEYS,
     DATASET_MAGIC,
     ExperimentConfig,
     Harness,
@@ -51,6 +52,35 @@ def tiny_config(out_dir, **kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+# A valid value other than the default for every config key, each on its own
+# over the default config.
+NON_DEFAULT_VALUES = {
+    "low_tx": "3",
+    "low_rx": "3",
+    "high_tx": "6",
+    "high_rx": "6",
+    "spacing_wavelengths": "0.4",
+    "angle_ranges_deg": "0:25",
+    "num_targets": "3",
+    "min_sep_deg": "4",
+    "snr_train_db": "-14:12:2",
+    "snr_test_db": "0,5",
+    "samples_per_set": "4000",
+    "m1_samples": "56000",
+    "m2_samples": "7000",
+    "test_samples": "1500",
+    "snapshots": "100",
+    "epochs": "10",
+    "batch_size": "60",
+    "split": "0.5,0.5,0",
+    "output_activation": "relu",
+    "grid_step_deg": "0.2",
+    "denoise_offsets_db": "4",
+    "seed": "1",
+    "output_dir": "elsewhere",
+}
 
 
 def file_hash(path):
@@ -113,7 +143,7 @@ class TestConfig:
         "kw, match",
         [
             (dict(grid_step_deg=0.0), "grid step must be positive"),
-            (dict(grid_pad_deg=-20.0), "empty spectrum grid"),
+            (dict(angle_ranges_deg=[(25.0, 0.0)]), "empty spectrum grid"),
             (dict(angle_ranges_deg=[(0.0, 25.0), (60.0, 88.0)]), "range_60_88 \\(55 to 93 deg\\)"),
             (dict(angle_ranges_deg=[(-85.0, -60.0)]), "inside \\(-90, 90\\)"),
             (dict(angle_ranges_deg=[(60.0, 85.0)]), "inside \\(-90, 90\\)"),
@@ -154,6 +184,17 @@ class TestConfig:
         path.write_text("frobnication_level = 9\n")
         with pytest.raises(KeyError):
             parse_config_file(path)
+
+    @pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+    def test_every_config_key_reaches_the_config(self, key):
+        """No setting is dead: each key, set alone, changes the config."""
+        assert key in NON_DEFAULT_VALUES, f"no non-default value listed for {key!r}"
+        assert config_from_items({key: NON_DEFAULT_VALUES[key]}) != ExperimentConfig()
+
+    @pytest.mark.parametrize("kw", [dict(seed=5), dict(output_activation="relu")])
+    def test_derived_train_fields_rejected(self, kw):
+        with pytest.raises(ValueError, match="set seed and output_activation instead"):
+            ExperimentConfig(train=TrainConfig(**kw))
 
     def test_overrides_apply(self, tmp_path):
         cfg = config_from_items({"seed": "7", "snapshots": "10", "test_samples": "100"})

@@ -172,12 +172,12 @@ class TestBackward:
 class TestAdam:
     def test_first_step_bias_correction(self):
         p = np.zeros(1)
-        adam_step(OptimizerState.zeros_like(p), p, np.ones(1), lr=1e-3)
+        adam_step(OptimizerState.zeros_like(p), p, np.ones(1))
         assert p[0] == pytest.approx(-1e-3 / (1 + 1e-8), rel=1e-12)
 
     def test_zero_gradient_no_motion(self):
         p = np.array([1.0, -2.0])
-        adam_step(OptimizerState.zeros_like(p), p, np.zeros(2), lr=0.1)
+        adam_step(OptimizerState.zeros_like(p), p, np.zeros(2))
         assert np.array_equal(p, [1.0, -2.0])
 
     def test_two_steps_match_hand_recursion(self):
@@ -185,7 +185,7 @@ class TestAdam:
         p = np.zeros(1)
         state = OptimizerState.zeros_like(p)
         for _ in range(2):
-            adam_step(state, p, np.full(1, g), lr, b1, b2, eps)
+            adam_step(state, p, np.full(1, g))
         # hand recursion
         m = v = 0.0
         ph = 0.0
@@ -199,7 +199,7 @@ class TestAdam:
         p = np.array([1.0, -2.0])
         state = OptimizerState.zeros_like(p)
         m, v = state.m, state.v
-        assert adam_step(state, p, np.ones(2), lr=0.1) is None
+        assert adam_step(state, p, np.ones(2)) is None
         assert state.m is m and state.v is v and state.step == 1
         assert np.all(p < [1.0, -2.0]) and np.all(m > 0) and np.all(v > 0)
 
@@ -209,7 +209,7 @@ class TestAdam:
         p = np.zeros(1)
         state = OptimizerState.zeros_like(p)
         with pytest.raises(TrainingError):
-            adam_step(state, p, np.full(1, np.nan), lr=1e-3)
+            adam_step(state, p, np.full(1, np.nan))
         assert state.step == 0 and p[0] == 0.0
 
 
