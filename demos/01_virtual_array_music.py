@@ -42,13 +42,12 @@ print("true DOAs [deg]:", np.round(truth_deg, 2))
 block_low, block_high = synthesize_pair(scene, low, high, snr_db=10.0, rng=rng)
 
 for name, block, arr in (("low", block_low, low), ("high", block_high, high)):
-    cov = sample_covariance(block)
-    eig = hermitian_eig(cov)
+    eigenvalues, eigenvectors = hermitian_eig(sample_covariance(block))
     # With four targets the four signal eigenvalues should sit above the
     # noise floor; on the small array the weakest one often sinks into it.
-    print(f"\n[{name}] top 6 eigenvalues:", np.round(eig.eigenvalues[:6], 3))
+    print(f"\n[{name}] top 6 eigenvalues:", np.round(eigenvalues[:6], 3))
 
-    un = noise_subspace(eig, k=4)
+    un = noise_subspace(eigenvectors, k=4)
     spectrum = music_spectrum(un, arr, grid=(-5.0, 30.0, 0.1))
     estimates, degenerate = pick_peaks(spectrum, k=4)
     print(f"[{name}] MUSIC estimates [deg]:", np.round(estimates, 2),

@@ -14,8 +14,6 @@ from .arrays import (
     virtual_steering,
 )
 from .music import (
-    CovarianceEstimate,
-    EigenStructure,
     SpectrumResult,
     doa_mse,
     hermitian_eig,
@@ -24,7 +22,7 @@ from .music import (
     pick_peaks,
     sample_covariance,
 )
-from .metrics import CrbResult, cov_error, crb, steering_derivative
+from .metrics import cov_error, crb, steering_derivative
 from .network import (
     MlpModel,
     OptimizerState,

@@ -156,6 +156,16 @@ def draw_rcs(k: int, pulses: int, rng) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
+def check_spacing(range_deg, k: int, min_sep_deg: float) -> None:
+    """Raise unless ``range_deg`` can hold k targets ``min_sep_deg`` apart."""
+    lo, hi = float(range_deg[0]), float(range_deg[1])
+    if hi - lo < (k - 1) * min_sep_deg:
+        raise ValueError(
+            f"range [{lo}, {hi}] deg cannot hold {k} targets "
+            f"separated by >= {min_sep_deg} deg"
+        )
+
+
 def draw_scene(range_deg, k: int, min_sep_deg: float, pulses: int, rng) -> TargetScene:
     """Draw K target directions uniformly in ``range_deg`` with a minimum
     pairwise separation, plus a fresh Swerling-II reflectivity matrix.
@@ -166,11 +176,7 @@ def draw_scene(range_deg, k: int, min_sep_deg: float, pulses: int, rng) -> Targe
     lo, hi = float(range_deg[0]), float(range_deg[1])
     if k < 1:
         raise ValueError("k must be >= 1")
-    if hi - lo < (k - 1) * min_sep_deg:
-        raise ValueError(
-            f"range [{lo}, {hi}] deg cannot hold {k} targets "
-            f"separated by >= {min_sep_deg} deg"
-        )
+    check_spacing((lo, hi), k, min_sep_deg)
     rng = _as_rng(rng)
     # Test candidates a batch at a time.  One uniform() call of n*K draws
     # gives the same candidates as n calls of K, so the scene is the one a

@@ -92,8 +92,8 @@ def run_demo() -> int:
         angles_rad=np.deg2rad(truth_deg), rcs=draw_rcs(2, 32, rng=1234)
     )
     block = synthesize_block(scene, cfg, snr_db=300.0, rng=0)
-    eig = hermitian_eig(sample_covariance(block))
-    spec = music_spectrum(noise_subspace(eig, 2), cfg, (-30.0, 40.0, 0.1))
+    _, u = hermitian_eig(sample_covariance(block))
+    spec = music_spectrum(noise_subspace(u, 2), cfg, (-30.0, 40.0, 0.1))
     angles, _ = pick_peaks(spec, 2)
     print("true angles (deg):     " + "  ".join(f"{a:7.2f}" for a in truth_deg))
     print("recovered angles (deg):" + "  ".join(f"{a:7.2f}" for a in angles))

@@ -23,6 +23,7 @@ import numpy as np
 from .arrays import (
     ArrayConfig,
     TargetScene,
+    check_spacing,
     draw_scene,
     snr_to_noise_var,
     steering_matrix,
@@ -31,7 +32,6 @@ from .arrays import (
 )
 from .metrics import cov_error, crb
 from .music import (
-    CovarianceEstimate,
     grid_angles,
     hermitian_eig,
     music_spectrum,
@@ -161,6 +161,7 @@ class ExperimentConfig:
                     f"spectrum grid of {self.range_tag(r)} ({angles[0]:g} to "
                     f"{angles[-1]:g} deg) must lie inside (-90, 90) deg"
                 )
+            check_spacing(self.angle_ranges_deg[r], self.num_targets, self.min_sep_deg)
         ids = self.set_ids
         dupes = sorted({sid for sid in ids if ids.count(sid) > 1})
         if dupes:
@@ -398,15 +399,16 @@ def write_grid(rows: list[dict], path) -> None:
 
 @dataclass(frozen=True)
 class _Bank:
-    """One test bank: Q scenes as a (Q, K) angle and a (Q, K, P) reflectivity
-    stack, their low blocks as a (Q, MN, P) stack, the (Q, MN, MN) covariance
-    stack of their high blocks (MUSIC and R_e read the high blocks only
-    through it), and a noise seed per trial for the SNR-offset references."""
+    """One test bank, as plain arrays: Q scenes as a (Q, K) angle and a
+    (Q, K, P) reflectivity stack, their low blocks as a (Q, MN, P) stack,
+    the complex (Q, MN, MN) covariance stack of their high blocks (MUSIC and
+    R_e read the high blocks only through it), and a noise seed per trial
+    for the SNR-offset references."""
 
     angles_rad: np.ndarray
     rcs: np.ndarray
     low: np.ndarray
-    high_cov: CovarianceEstimate
+    high_cov: np.ndarray
     offset_seeds: list[np.random.SeedSequence]
 
     @property
@@ -577,19 +579,19 @@ class Harness:
         high_cov = self._high_covs(draw)
         return _Bank(angles, rcs, low, high_cov, offset_seeds)
 
-    def _high_covs(self, block_of) -> CovarianceEstimate:
-        """(Q, MN, MN) covariance stack of the high-array blocks ``block_of(q)``
-        returns for q = 0, ..., Q-1 in order; each block is dropped once its
-        covariance is formed, so no (Q, MN, P) stack is ever built."""
+    def _high_covs(self, block_of) -> np.ndarray:
+        """Complex (Q, MN, MN) array of the sample covariances of the
+        high-array blocks ``block_of(q)`` returns for q = 0, ..., Q-1 in order;
+        each block is dropped once its covariance is formed, so no (Q, MN, P)
+        stack is ever built."""
         mn = self.cfg.high.virtual_size
         covs = np.empty((self.cfg.trials, mn, mn), dtype=complex)
         for q in range(self.cfg.trials):
-            covs[q] = sample_covariance(block_of(q)).matrix
-        # Each matrix is sample_covariance's exactly Hermitian output.
-        return CovarianceEstimate._symmetrized(covs)
+            covs[q] = sample_covariance(block_of(q))
+        return covs
 
     @_memo
-    def _ref_cov(self, range_idx: int, snr_db: float, offset_db: float) -> CovarianceEstimate:
+    def _ref_cov(self, range_idx: int, snr_db: float, offset_db: float) -> np.ndarray:
         """Covariance stack of the actual high array, the reference of r_e and
         r_offset: the bank's own high covariances at offset 0, else those of
         the same scenes re-synthesized at snr + offset with fresh noise."""
@@ -607,11 +609,11 @@ class Harness:
 
     # -- evaluation --------------------------------------------------------
 
-    def _music_mse(self, cov: CovarianceEstimate, array: ArrayConfig, truths_deg, range_idx: int):
+    def _music_mse(self, cov: np.ndarray, array: ArrayConfig, truths_deg, range_idx: int):
         """MUSIC DOA MSE over a (Q, MN, MN) covariance stack of one bank."""
         grid = self.cfg.spectrum_grid(range_idx)
         k = self.cfg.num_targets
-        un = noise_subspace(hermitian_eig(cov), k)
+        un = noise_subspace(hermitian_eig(cov)[1], k)
         steering = steering_matrix(np.deg2rad(grid_angles(grid)), array)
         # One spectrum matmul per trial: a single (Q, MN-K, G) product
         # raised peak memory for no CPU gain.
@@ -624,7 +626,9 @@ class Harness:
         bank = self.test_bank(range_idx, snr_db)
         sigma2 = snr_to_noise_var(snr_db)
         return tuple(
-            float(np.mean(crb(bank.angles_rad, bank.rcs, sigma2, arr).diagonal_rad2.mean(axis=-1)))
+            float(np.mean(np.diagonal(
+                crb(bank.angles_rad, bank.rcs, sigma2, arr), axis1=-2, axis2=-1
+            ).mean(axis=-1)))
             for arr in (self.cfg.low, self.cfg.high)
         )
 
@@ -640,7 +644,7 @@ class Harness:
             "mse_high": self._music_mse(high_cov, cfg.high, bank.truths_deg, range_idx),
         }
 
-    def _predicted_covs(self, range_idx: int, set_id: str, snr_db: float) -> CovarianceEstimate:
+    def _predicted_covs(self, range_idx: int, set_id: str, snr_db: float) -> np.ndarray:
         """Covariance stack of the emulated high-array blocks of every trial
         of a test bank; the blocks themselves are not kept."""
         model = self.ensure_model(range_idx, set_id)

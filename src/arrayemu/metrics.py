@@ -8,15 +8,11 @@ steering-vector derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arrays import ArrayConfig, steering_matrix, virtual_steering
-from .music import CovarianceEstimate
 
 __all__ = [
-    "CrbResult",
     "cov_error",
     "steering_derivative",
     "crb",
@@ -25,20 +21,12 @@ __all__ = [
 _COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
-class CrbResult:
-    """K x K bound matrix and its diagonal (per-target variance, radians^2)."""
-
-    matrix: np.ndarray
-    diagonal_rad2: np.ndarray
-
-
-def cov_error(r_ref: CovarianceEstimate, r_pre: CovarianceEstimate) -> float:
+def cov_error(r_ref, r_pre) -> float:
     """Relative Frobenius error ||R_ref - R_pre||_F / ||R_ref||_F.
 
     For two (Q, n, n) stacks, the mean of the Q per-matrix errors.
     """
-    a, b = r_ref.matrix, r_pre.matrix
+    a, b = np.asarray(r_ref), np.asarray(r_pre)
     if a.shape != b.shape:
         raise ValueError(f"covariance shapes differ: {a.shape} vs {b.shape}")
     errors = []
@@ -67,17 +55,18 @@ def steering_derivative(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
     return _derivative_factor(theta_rad, cfg) * virtual_steering(theta_rad, cfg)
 
 
-def crb(angles_rad, x: np.ndarray, sigma2: float, cfg: ArrayConfig) -> CrbResult:
+def crb(angles_rad, x: np.ndarray, sigma2: float, cfg: ArrayConfig) -> np.ndarray:
     """Cramér–Rao bound for the K target angles given a reflectivity
     realization ``x`` (K x N_s) and per-entry noise variance ``sigma2``.
 
     CRB = (sigma^2 / 2) * inv(Re[(A_e^H P A_e) ∘ (X X^H)^T]) with P the
     projector onto the orthogonal complement of the steering-matrix range;
     the Hadamard product carries the per-snapshot reflectivity weighting.
+    Returns the K x K bound; its diagonal is the per-target variance in
+    radians^2.
 
-    A (Q, K) angle stack with a (Q, K, N_s) reflectivity stack gives Q
-    bounds at once, a (Q, K, K) matrix and a (Q, K) diagonal, each equal
-    to that scene's own bound.
+    A (Q, K) angle stack with a (Q, K, N_s) reflectivity stack gives a
+    (Q, K, K) stack of Q bounds at once, each equal to that scene's own.
     """
     angles_rad = np.asarray(angles_rad, dtype=float)
     x = np.asarray(x, dtype=complex)
@@ -111,7 +100,4 @@ def crb(angles_rad, x: np.ndarray, sigma2: float, cfg: ArrayConfig) -> CrbResult
     if np.any(np.linalg.cond(fisher) > _COND_LIMIT):
         raise ValueError("degenerate scene: Fisher information is singular")
     bound = (sigma2 / 2.0) * np.linalg.inv(fisher)
-    diagonal = np.diagonal(bound, axis1=-2, axis2=-1).copy()
-    if not stacked:
-        bound, diagonal = bound[0], diagonal[0]
-    return CrbResult(matrix=bound, diagonal_rad2=diagonal)
+    return bound if stacked else bound[0]

@@ -14,8 +14,6 @@ import numpy as np
 from .arrays import ArrayConfig, steering_matrix
 
 __all__ = [
-    "CovarianceEstimate",
-    "EigenStructure",
     "SpectrumResult",
     "sample_covariance",
     "hermitian_eig",
@@ -33,44 +31,6 @@ DENOM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class CovarianceEstimate:
-    """Hermitian sample covariance, or a (Q, n, n) stack of Q of them."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
-        m = self.matrix
-        if m.ndim not in (2, 3) or m.shape[-2] != m.shape[-1]:
-            raise ValueError("covariance must be square")
-        for mi in m.reshape(-1, *m.shape[-2:]):
-            _check_hermitian(mi)
-
-    @classmethod
-    def _symmetrized(cls, matrix: np.ndarray) -> CovarianceEstimate:
-        """Wrap a complex matrix or stack that is Hermitian by construction,
-        such as ``(r + rᴴ)/2``, without the check ``__post_init__`` runs."""
-        est = object.__new__(cls)
-        object.__setattr__(est, "matrix", matrix)
-        return est
-
-
-def _check_hermitian(m: np.ndarray) -> None:
-    scale = max(np.linalg.norm(m), 1.0)
-    if np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
-        raise ValueError("covariance matrix is not Hermitian within tolerance")
-
-
-@dataclass(frozen=True)
-class EigenStructure:
-    """Eigenvalues (descending) and matching unitary eigenvector columns;
-    a stack of covariances gives a stack of each."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
 class SpectrumResult:
     """Pseudospectrum values on a uniform angle grid (degrees)."""
 
@@ -78,7 +38,7 @@ class SpectrumResult:
     values: np.ndarray
 
 
-def sample_covariance(block) -> CovarianceEstimate:
+def sample_covariance(block) -> np.ndarray:
     """Average outer product (1/N_s) sum_p y_p y_p^H over all pulses.
 
     ``block`` is an (MN, P) array or a (Q, MN, P) stack of Q trials' blocks,
@@ -96,24 +56,35 @@ def sample_covariance(block) -> CovarianceEstimate:
     r /= ns
     r += r.conj().swapaxes(-2, -1)
     r /= 2.0
-    return CovarianceEstimate._symmetrized(r)
+    return r
 
 
-def hermitian_eig(cov: CovarianceEstimate) -> EigenStructure:
-    """Full eigendecomposition with eigenvalues sorted descending.
+def hermitian_eig(cov) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues sorted descending and their unitary eigenvector columns,
+    of an (n, n) covariance or of each matrix of a (Q, n, n) stack.
 
-    ``eigh`` returns them ascending, so both fields are reversed views.
+    ``eigh`` reads only one triangle, so every matrix is first checked to be
+    Hermitian.  ``eigh`` returns ascending order; both results are reversed
+    views.
     """
-    w, u = np.linalg.eigh(cov.matrix)
-    return EigenStructure(eigenvalues=w[..., ::-1], eigenvectors=u[..., ::-1])
+    r = np.asarray(cov, dtype=complex)
+    if r.ndim not in (2, 3) or r.shape[-2] != r.shape[-1]:
+        raise ValueError("covariance must be square")
+    for m in r.reshape(-1, *r.shape[-2:]):
+        scale = max(np.linalg.norm(m), 1.0)
+        if np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
+            raise ValueError("covariance matrix is not Hermitian within tolerance")
+    w, u = np.linalg.eigh(r)
+    return w[..., ::-1], u[..., ::-1]
 
 
-def noise_subspace(eig: EigenStructure, k: int) -> np.ndarray:
-    """Eigenvectors of the MN-K smallest eigenvalues, as columns."""
-    mn = eig.eigenvalues.shape[-1]
+def noise_subspace(eigenvectors: np.ndarray, k: int) -> np.ndarray:
+    """The last MN-K of ``hermitian_eig``'s eigenvector columns: those of
+    the MN-K smallest eigenvalues."""
+    mn = eigenvectors.shape[-1]
     if not 1 <= k < mn:
         raise ValueError(f"target count k={k} must satisfy 1 <= k < {mn}")
-    return eig.eigenvectors[..., k:]
+    return eigenvectors[..., k:]
 
 
 def grid_angles(grid) -> np.ndarray:

@@ -103,6 +103,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if len(self.split) != 3:
+            raise ValueError(
+                f"split needs 3 fractions (train, validation, test), got {len(self.split)}"
+            )
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
         if self.split[0] <= 0 or self.split[1] <= 0:

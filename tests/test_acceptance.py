@@ -68,7 +68,7 @@ def report(num, name, ok, detail=""):
 
 
 def run_music(block, arr, k, grid):
-    un = noise_subspace(hermitian_eig(sample_covariance(block)), k)
+    un = noise_subspace(hermitian_eig(sample_covariance(block))[1], k)
     angles, _ = pick_peaks(music_spectrum(un, arr, grid), k)
     return angles
 
@@ -109,9 +109,7 @@ def test_01_noiseless_music_exactness():
 # --------------------------------------------------------------------------
 
 def _cov(h):
-    from arrayemu.music import CovarianceEstimate
-
-    return CovarianceEstimate(matrix=np.asarray(h, dtype=complex))
+    return np.asarray(h, dtype=complex)
 
 
 def test_02_eigensolver_oracle_equivalence():
@@ -121,11 +119,10 @@ def test_02_eigensolver_oracle_equivalence():
         n = 64 if trial < 4 else int(rng.integers(2, 65))
         g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         h = (g + g.conj().T) / 2
-        eig = hermitian_eig(_cov(h))
+        lam, v = hermitian_eig(_cov(h))
         oracle = jacobi_eigvals(h)
         scale = max(np.max(np.abs(oracle)), 1e-300)
-        worst_eig = max(worst_eig, np.max(np.abs(eig.eigenvalues - oracle)) / scale)
-        v, lam = eig.eigenvectors, eig.eigenvalues
+        worst_eig = max(worst_eig, np.max(np.abs(lam - oracle)) / scale)
         worst_recon = max(
             worst_recon,
             np.linalg.norm(v @ np.diag(lam) @ v.conj().T - h) / max(np.linalg.norm(h), 1e-300),
@@ -186,7 +183,7 @@ def test_04_crb_checks():
     # Exact linear scaling in the noise power.
     r1 = crb(scene.angles_rad, scene.rcs, 0.37, HIGH)
     r2 = crb(scene.angles_rad, scene.rcs, 2 * 0.37, HIGH)
-    scaling_err = float(np.max(np.abs(r2.matrix - 2 * r1.matrix) / np.abs(r2.matrix)))
+    scaling_err = float(np.max(np.abs(r2 - 2 * r1) / np.abs(r2)))
 
     # Steering derivative against central finite differences.
     h = 1e-7
@@ -207,7 +204,7 @@ def test_04_crb_checks():
         block = synthesize_block(scene, HIGH, snr_db, rng)
         estimates.append(run_music(block, HIGH, k, grid))
         truths.append(np.sort(np.rad2deg(scene.angles_rad)))
-        bounds.append(np.mean(crb(scene.angles_rad, scene.rcs, sigma2, HIGH).diagonal_rad2))
+        bounds.append(np.mean(np.diagonal(crb(scene.angles_rad, scene.rcs, sigma2, HIGH))))
     mse = doa_mse(np.vstack(estimates), np.vstack(truths))
     bound = float(np.mean(bounds))
 

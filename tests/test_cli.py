@@ -77,6 +77,9 @@ def test_config_without_a_test_trial_exits_1(tmp_path, capsys, override):
         "grid_step_deg=0",
         "angle_ranges_deg=60:88",
         "angle_ranges_deg=25:0",
+        "angle_ranges_deg=0:25;0:1",
+        "split=1",
+        "split=0.5,0.25,0.125,0.125",
     ],
 )
 def test_config_that_cannot_train_or_sweep_exits_1_before_writing(tmp_path, capsys, override):

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from arrayemu.arrays import ArrayConfig
+from arrayemu.arrays import ArrayConfig, draw_scene
 from arrayemu.harness import (
     CONFIG_KEYS,
     DATASET_MAGIC,
@@ -133,6 +133,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             tiny_config(tmp_path, **{key: size})
         tiny_config(tmp_path, **{key: 30 if key == "samples_per_set" else 90})
+
+    @pytest.mark.parametrize("split", [(1.0,), (0.75, 0.25), (0.5, 0.25, 0.125, 0.125)])
+    def test_split_of_the_wrong_length_rejected(self, split):
+        with pytest.raises(ValueError, match=f"split needs 3 fractions .*got {len(split)}"):
+            TrainConfig(split=split)
+
+    @pytest.mark.parametrize("ranges", [[(0.0, 4.9)], [(0.0, 25.0), (30.0, 31.0)]])
+    def test_range_too_narrow_for_the_targets_rejected(self, tmp_path, ranges):
+        """Two targets 5 deg apart need a range at least 5 deg wide; the
+        config refuses a narrower one with draw_scene's message."""
+        lo, hi = ranges[-1]
+        match = f"range \\[{lo}, {hi}\\] deg cannot hold 2 targets separated by >= 5.0 deg"
+        with pytest.raises(ValueError, match=match):
+            tiny_config(tmp_path, angle_ranges_deg=ranges)
+        with pytest.raises(ValueError, match=match):
+            draw_scene((lo, hi), 2, 5.0, 10, rng=0)
+        tiny_config(tmp_path, angle_ranges_deg=[(0.0, 5.0)])
 
     @pytest.mark.parametrize("split", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.0, 0.5)])
     def test_split_without_training_or_validation_part_rejected(self, split):
@@ -453,7 +470,7 @@ class TestTrainingAndEval:
         model = h.ensure_model(0, "snr_0")
         stacked = np.stack([predict(model, y, cfg.high) for y in h.test_bank(0, 0.0).low])
         got = h._predicted_covs(0, "snr_0", 0.0)
-        assert np.array_equal(got.matrix, sample_covariance(stacked).matrix)
+        assert np.array_equal(got, sample_covariance(stacked))
 
     def test_eval_model_predicts_each_trial_once(self, harness, monkeypatch):
         h = Harness(harness.cfg)
@@ -480,7 +497,7 @@ class TestTrainingAndEval:
             bank = h.test_bank(r, snr)
             for side, array in (("low", h.cfg.low), ("high", h.cfg.high)):
                 per_scene = [
-                    float(np.mean(harness_module.crb(angles, rcs, sigma2, array).diagonal_rad2))
+                    float(np.mean(np.diagonal(harness_module.crb(angles, rcs, sigma2, array))))
                     for angles, rcs in zip(bank.angles_rad, bank.rcs)
                 ]
                 assert row[f"crb_{side}_rad2"] == float(np.mean(per_scene))
@@ -553,7 +570,7 @@ class TestStackedMusic:
             data, array, bank.truths_deg, h.cfg.spectrum_grid(0), h.cfg.num_targets
         )
         assert mse == ref_mse
-        assert np.array_equal(cov.matrix, np.stack(ref_covs))
+        assert np.array_equal(cov, np.stack(ref_covs))
         if snr_db == 300.0:
             assert mse < 1e-5
 

@@ -11,9 +11,7 @@ from arrayemu.arrays import (
     synthesize_block,
     virtual_steering,
 )
-from arrayemu import music
 from arrayemu.music import (
-    CovarianceEstimate,
     doa_mse,
     grid_angles,
     hermitian_eig,
@@ -32,20 +30,20 @@ NOISELESS = 400.0  # dB; effectively zero noise
 class TestSampleCovariance:
     def test_single_snapshot_outer_product(self):
         r = sample_covariance(np.array([[1.0], [1j]]))
-        assert np.allclose(r.matrix, [[1, -1j], [1j, 1]])
+        assert np.allclose(r, [[1, -1j], [1j, 1]])
 
     def test_noiseless_single_target_rank_one(self):
         cfg = ArrayConfig(2, 2)
         scene = TargetScene(angles_rad=np.array([0.2]), rcs=draw_rcs(1, 8, rng=0))
         block = synthesize_block(scene, cfg, NOISELESS, rng=1)
-        w = hermitian_eig(sample_covariance(block)).eigenvalues
+        w, _ = hermitian_eig(sample_covariance(block))
         assert w[1] / w[0] < 1e-10
 
     def test_white_noise_converges_to_sigma2_identity(self):
         cfg = ArrayConfig(2, 2)
         scene = TargetScene(angles_rad=np.array([0.0]), rcs=np.zeros((1, 100_000), dtype=complex))
         block = synthesize_block(scene, cfg, snr_db=0.0, rng=3)
-        r = sample_covariance(block).matrix
+        r = sample_covariance(block)
         off = r - np.diag(np.diag(r))
         assert np.max(np.abs(off)) < 0.05
         assert np.allclose(np.diag(r).real, 1.0, atol=0.05)
@@ -57,81 +55,83 @@ class TestSampleCovariance:
 
 class TestHermitianEig:
     def test_identity(self):
-        eig = hermitian_eig(CovarianceEstimate(np.eye(3, dtype=complex)))
-        assert np.allclose(eig.eigenvalues, 1.0)
+        w, _ = hermitian_eig(np.eye(3, dtype=complex))
+        assert np.allclose(w, 1.0)
 
     def test_diagonal(self):
-        eig = hermitian_eig(CovarianceEstimate(np.diag([1.0, 3.0]).astype(complex)))
-        assert np.allclose(eig.eigenvalues, [3.0, 1.0])
-        assert abs(eig.eigenvectors[1, 0]) == pytest.approx(1.0)
+        w, u = hermitian_eig(np.diag([1.0, 3.0]).astype(complex))
+        assert np.allclose(w, [3.0, 1.0])
+        assert abs(u[1, 0]) == pytest.approx(1.0)
 
     def test_matches_jacobi_oracle(self):
         rng = np.random.default_rng(17)
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         h = (m + m.conj().T) / 2
-        eig = hermitian_eig(CovarianceEstimate(h))
+        w, _ = hermitian_eig(h)
         oracle = jacobi_eigvals(h)
-        assert np.max(np.abs(eig.eigenvalues - oracle)) < 1e-8 * np.max(np.abs(oracle))
+        assert np.max(np.abs(w - oracle)) < 1e-8 * np.max(np.abs(oracle))
 
     def test_reconstruction_and_unitarity(self):
         rng = np.random.default_rng(4)
         for _ in range(5):
             m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
             h = (m + m.conj().T) / 2
-            eig = hermitian_eig(CovarianceEstimate(h))
-            u, w = eig.eigenvectors, eig.eigenvalues
+            w, u = hermitian_eig(h)
             assert np.all(np.diff(w) <= 1e-12)
             assert np.linalg.norm(h - u @ np.diag(w) @ u.conj().T) / np.linalg.norm(h) < 1e-8
             assert np.linalg.norm(u.conj().T @ u - np.eye(6)) < 1e-8
 
     def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
-            CovarianceEstimate(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
-    def test_only_outside_covariances_are_checked(self, monkeypatch):
-        """sample_covariance's (r + rᴴ)/2 is exactly Hermitian, so its result
-        skips the check; a CovarianceEstimate built from outside checks
-        every matrix of its stack."""
-        checked, real = [], music._check_hermitian
+    @pytest.mark.parametrize(
+        "shape", [(3, 4), (2, 3, 4), (4,), (2, 2, 3, 3)], ids=["2d", "stack", "1d", "4d"]
+    )
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="must be square"):
+            hermitian_eig(np.zeros(shape, dtype=complex))
 
-        def counting(m):
-            checked.append(m.shape)
-            return real(m)
-
-        monkeypatch.setattr(music, "_check_hermitian", counting)
+    def test_every_matrix_of_a_stack_is_checked(self):
+        """sample_covariance's (r + rᴴ)/2 is exactly Hermitian and passes,
+        but hermitian_eig still checks each of its matrices: breaking any
+        one of the five is refused."""
         rng = np.random.default_rng(6)
         y = rng.standard_normal((5, 4, 8)) + 1j * rng.standard_normal((5, 4, 8))
         cov = sample_covariance(y)
-        assert checked == []
-        assert np.array_equal(cov.matrix, cov.matrix.conj().swapaxes(-2, -1))
-        CovarianceEstimate(cov.matrix)
-        assert checked == [(4, 4)] * 5
+        assert np.array_equal(cov, cov.conj().swapaxes(-2, -1))
+        assert hermitian_eig(cov)[0].shape == (5, 4)
+        for q in range(5):
+            bad = cov.copy()
+            bad[q, 0, 3] += 1e-3
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian_eig(bad)
 
     @pytest.mark.parametrize("bad", [0, 1, 2])
     def test_non_hermitian_matrix_in_a_stack_rejected(self, bad):
         stack = np.stack([np.eye(3, dtype=complex)] * 3)
         stack[bad, 0, 2] = 1j
         with pytest.raises(ValueError, match="not Hermitian"):
-            CovarianceEstimate(stack)
+            hermitian_eig(stack)
 
 
 class TestNoiseSubspace:
-    def _eig(self, n):
-        return hermitian_eig(CovarianceEstimate(np.diag(np.arange(n, 0, -1)).astype(complex)))
+    def _eigenvectors(self, n):
+        return hermitian_eig(np.diag(np.arange(n, 0, -1)).astype(complex))[1]
 
     def test_dimensions(self):
-        assert noise_subspace(self._eig(4), 1).shape == (4, 3)
-        assert noise_subspace(self._eig(4), 3).shape == (4, 1)
+        assert noise_subspace(self._eigenvectors(4), 1).shape == (4, 3)
+        assert noise_subspace(self._eigenvectors(4), 3).shape == (4, 1)
 
     def test_k_too_large_rejected(self):
         with pytest.raises(ValueError):
-            noise_subspace(self._eig(4), 4)
+            noise_subspace(self._eigenvectors(4), 4)
 
     def test_orthogonal_to_signal_steering(self):
         cfg = ArrayConfig(2, 3)
         scene = draw_scene((0, 25), 2, 5.0, pulses=16, rng=5)
         block = synthesize_block(scene, cfg, NOISELESS, rng=2)
-        un = noise_subspace(hermitian_eig(sample_covariance(block)), 2)
+        un = noise_subspace(hermitian_eig(sample_covariance(block))[1], 2)
         for theta in scene.angles_rad:
             v = virtual_steering(theta, cfg)
             assert np.max(np.abs(un.conj().T @ v)) < 1e-8
@@ -142,7 +142,7 @@ class TestMusicSpectrum:
         cfg = ArrayConfig(2, 3)
         scene = TargetScene(angles_rad=np.deg2rad([10.0]), rcs=draw_rcs(1, 8, rng=0))
         block = synthesize_block(scene, cfg, NOISELESS, rng=1)
-        un = noise_subspace(hermitian_eig(sample_covariance(block)), 1)
+        un = noise_subspace(hermitian_eig(sample_covariance(block))[1], 1)
         spec = music_spectrum(un, cfg, (0.0, 20.0, 0.1))
         assert spec.grid_deg[np.argmax(spec.values)] == pytest.approx(10.0, abs=1e-9)
         # independent loop-based spectrum oracle
@@ -153,7 +153,7 @@ class TestMusicSpectrum:
         cfg = ArrayConfig(2, 3)
         scene = TargetScene(angles_rad=np.deg2rad([10.0]), rcs=draw_rcs(1, 8, rng=0))
         block = synthesize_block(scene, cfg, NOISELESS, rng=1)
-        un = noise_subspace(hermitian_eig(sample_covariance(block)), 1)
+        un = noise_subspace(hermitian_eig(sample_covariance(block))[1], 1)
         spec = music_spectrum(un, cfg, (10.0, 10.0, 1.0))  # single point at truth
         assert spec.values[0] > 1e8  # denominator below 1e-8, clamped at 1e-12
 
@@ -169,7 +169,7 @@ class TestMusicSpectrum:
     def test_prebuilt_steering_matrix_changes_nothing(self, cfg):
         un = noise_subspace(hermitian_eig(sample_covariance(
             synthesize_block(draw_scene((0, 25), 2, 5.0, 40, rng=3), cfg, 0.0, rng=4)
-        )), 2)
+        ))[1], 2)
         grid = (-5.0, 30.0, 0.1)
         steering = steering_matrix(np.deg2rad(grid_angles(grid)), cfg)
         built, reused = music_spectrum(un, cfg, grid), music_spectrum(un, cfg, grid, steering)
@@ -243,7 +243,7 @@ class TestPickPeaks:
         cfg = ArrayConfig(3, 3)
         scene = draw_scene((20, 45), 4, 5.0, pulses=16, rng=12)
         block = synthesize_block(scene, cfg, NOISELESS, rng=3)
-        un = noise_subspace(hermitian_eig(sample_covariance(block)), 4)
+        un = noise_subspace(hermitian_eig(sample_covariance(block))[1], 4)
         spec = music_spectrum(un, cfg, (15.0, 50.0, 0.1))
         angles, degenerate = pick_peaks(spec, 4)
         assert not degenerate

@@ -8,8 +8,11 @@ failure instead of failed benchmark operations.
 import importlib.util
 import pathlib
 
+import numpy as np
 import pytest
 
+from arrayemu import music
+from arrayemu.arrays import ArrayConfig, TargetScene, draw_rcs, synthesize_block
 from arrayemu.harness import Harness
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -40,3 +43,27 @@ def test_hook_installs_and_restores_every_original(spans, hook):
     finally:
         h.uninstall()
     assert namespaces(spans) == before
+
+
+def test_tracer_counts_what_music_returns(spans):
+    """The Tracer's counters read ``music_spectrum``'s values and the flag
+    ``pick_peaks`` returns; a changed return type would break the traced
+    benchmark run without failing any other test."""
+    cfg = ArrayConfig(2, 3)
+    scene = TargetScene(angles_rad=np.deg2rad([10.0]), rcs=draw_rcs(1, 8, rng=0))
+    _, u = music.hermitian_eig(music.sample_covariance(synthesize_block(scene, cfg, 300.0, rng=1)))
+    grid = (0.0, 20.0, 0.1)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        spec = music.music_spectrum(music.noise_subspace(u, 1), cfg, grid)
+        # One target gives one peak, so a second is filled in: degenerate.
+        _, degenerate = music.pick_peaks(spec, 2)
+    finally:
+        tracer.uninstall()
+    assert degenerate
+    run = [tracer.run_id]
+    assert tracer.count(run, "music.music_spectrum.grid_points") == music.grid_angles(grid).size
+    assert tracer.count(run, "music.pick_peaks.degenerate") == 1
+    names = [span[0] for span in tracer.spans]
+    assert names == ["music.noise_subspace", "music.music_spectrum", "music.pick_peaks"]
