@@ -42,8 +42,8 @@ x = np.concatenate(inputs, axis=1)   # (2*4, 3000)
 t = np.concatenate(targets, axis=1)  # (2*6, 3000)
 print(f"training data: {x.shape[1]} pulse columns, {x.shape[0]} -> {t.shape[0]} features")
 
-config = TrainConfig(epochs=40, batch_size=120, split=(0.75, 0.25, 0.0), seed=0)
-model, history = train(x, t, config)
+config = TrainConfig(epochs=40, batch_size=120, split=(0.75, 0.25, 0.0))
+model, history = train(x, t, config, seed=0, output_activation="linear")
 print(f"layer dims: {model.layer_dims}")
 print(f"mean batch loss: first epoch {history['train'][0]:.4f} -> last {history['train'][-1]:.4f}")
 print(f"best validation MSE: {min(history['val']):.4f}")

@@ -114,8 +114,14 @@ def dispatch(args) -> int:
                 harness.ensure_model(r, sid)
                 print(f"trained {cfg.range_tag(r)}/{sid}")
     elif args.verb == "eval":
+        # eval never trains: every range needs the set's model file.
         for r in range(len(cfg.angle_ranges_deg)):
-            harness.ensure_model(r, args.train_set, train_missing=False)
+            path = harness.model_path(r, args.train_set)
+            if not os.path.exists(path):
+                raise FileNotFoundError(
+                    f"no trained model for set {args.train_set!r} "
+                    f"({cfg.range_tag(r)}): expected {path}"
+                )
         result = harness.set_sweep(args.train_set)
         _write_csv(cfg, f"eval_{args.train_set}.csv", write_results, result)
     elif args.verb == "sweep":

@@ -86,8 +86,7 @@ class ExperimentConfig:
     virtual elements), 8000-sample single-SNR sets, a 14x-larger M1, and
     Q = test_samples / snapshots = 20 trials per test SNR.
 
-    ``Harness.train_set`` derives each set's ``train.seed`` and
-    ``train.output_activation`` from ``seed`` and ``output_activation``.
+    ``Harness.train_set`` derives each set's training seed from ``seed``.
     """
 
     low: ArrayConfig = field(default_factory=lambda: ArrayConfig(4, 4))
@@ -127,13 +126,10 @@ class ExperimentConfig:
                 f"snapshots ({self.snapshots}) must divide test_samples "
                 f"({self.test_samples})"
             )
-        default = TrainConfig()
-        derived = (self.train.seed, self.train.output_activation)
-        if derived != (default.seed, default.output_activation):
-            raise ValueError(
-                "train.seed and train.output_activation are derived per training set; "
-                "set seed and output_activation instead"
-            )
+        if self.num_targets < 1:
+            raise ValueError(f"num_targets ({self.num_targets}) must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed ({self.seed}) must be non-negative")
         n_snr = len(self.snr_train_db)
         batch = self.train.batch_size
         for name in ("samples_per_set", "m1_samples", "m2_samples"):
@@ -531,28 +527,14 @@ class Harness:
             if cfg.output_activation == "both"
             else (cfg.output_activation,)
         )
-        best = None
-        for act in activations:
-            tc = replace(cfg.train, output_activation=act, seed=seed)
-            model, history = train(inputs.T, targets.T, tc)
-            val = min(history["val"])
-            if best is None or val < best[0]:
-                best = (val, model)
-        model = best[1]
+        # Lowest best-validation loss wins; min keeps the first on a tie.
+        runs = [train(inputs.T, targets.T, cfg.train, seed, act) for act in activations]
+        model, _ = min(runs, key=lambda run: min(run[1]["val"]))
         save_model(model, self.model_path(range_idx, set_id))
         return model
 
-    def ensure_model(self, range_idx: int, set_id: str, train_missing: bool = True) -> MlpModel:
-        path = self.model_path(range_idx, set_id)
-        if not (train_missing or os.path.exists(path)):
-            raise FileNotFoundError(
-                f"no trained model for set {set_id!r} "
-                f"({self.cfg.range_tag(range_idx)}): expected {path}"
-            )
-        return self._model(range_idx, set_id)
-
     @_memo
-    def _model(self, range_idx: int, set_id: str) -> MlpModel:
+    def ensure_model(self, range_idx: int, set_id: str) -> MlpModel:
         """The set's model file if there is one, else a freshly trained model."""
         path = self.model_path(range_idx, set_id)
         return load_model(path) if os.path.exists(path) else self.train_set(range_idx, set_id)

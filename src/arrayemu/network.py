@@ -91,14 +91,12 @@ class MlpModel:
 
 @dataclass
 class TrainConfig:
-    """Training-loop settings.  ``Harness.train_set`` derives ``seed`` and
-    ``output_activation`` per training set."""
+    """Training-loop settings, the three a config file sets.  The seed and
+    output activation are arguments of ``train``."""
 
     epochs: int = 150
     batch_size: int = 120
     split: tuple[float, float, float] = (0.6, 0.2, 0.2)
-    output_activation: str = "linear"
-    seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -109,8 +107,11 @@ class TrainConfig:
             )
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError("split fractions must sum to 1")
-        if self.split[0] <= 0 or self.split[1] <= 0:
-            raise ValueError("split needs positive training and validation fractions")
+        if self.split[0] <= 0 or self.split[1] <= 0 or self.split[2] < 0:
+            raise ValueError(
+                "split needs positive training and validation fractions "
+                "and a non-negative held-out fraction"
+            )
 
 
 @dataclass
@@ -294,11 +295,15 @@ def train(
     inputs: np.ndarray,
     targets: np.ndarray,
     cfg: TrainConfig,
+    seed: int,
+    output_activation: str,
     layer_dims: list[int] | None = None,
 ):
-    """Train an emulator on (features, samples) input/target matrices.
+    """Train an emulator with ``output_activation`` on (features, samples)
+    input/target matrices.
 
-    The sample pool is shuffled once (seeded) and split per cfg.split into
+    The sample pool is shuffled once by a generator seeded with ``seed``,
+    which also initializes the weights, and split per cfg.split into
     train/validation/held-out parts; the held-out part is not touched here.
     Normalization statistics are fitted on the training part only.  Returns
     the model with the weights of the best-validation epoch together with
@@ -314,7 +319,7 @@ def train(
     if n < cfg.batch_size:
         raise ValueError(f"dataset size {n} smaller than batch size {cfg.batch_size}")
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_train = int(round(cfg.split[0] * n))
     n_val = int(round(cfg.split[1] * n))
@@ -330,7 +335,7 @@ def train(
 
     if layer_dims is None:
         layer_dims = default_layer_dims(x.shape[0], t.shape[0])
-    model = init_model(layer_dims, cfg.output_activation, rng)
+    model = init_model(layer_dims, output_activation, rng)
     model.norm_in = norm_in
     model.norm_out = norm_out
 

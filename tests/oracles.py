@@ -123,7 +123,7 @@ def brute_spectrum(un: np.ndarray, m: int, n: int, spacing: float, grid_deg: np.
     return vals
 
 
-def reference_train(inputs, targets, cfg):
+def reference_train(inputs, targets, cfg, seed, output_activation):
     """The training loop in its plain form: one out-of-place Adam update per
     parameter array and a full training-split pass after every epoch.
 
@@ -146,7 +146,7 @@ def reference_train(inputs, targets, cfg):
     x = np.asarray(inputs, dtype=float)
     t = np.asarray(targets, dtype=float)
     n = x.shape[1]
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_train = int(round(cfg.split[0] * n))
     n_val = int(round(cfg.split[1] * n))
@@ -158,7 +158,7 @@ def reference_train(inputs, targets, cfg):
     tn = minmax_apply(t, norm_out)
     x_tr, t_tr = xn[:, idx_train], tn[:, idx_train]
     x_val, t_val = xn[:, idx_val], tn[:, idx_val]
-    model = init_model(default_layer_dims(x.shape[0], t.shape[0]), cfg.output_activation, rng)
+    model = init_model(default_layer_dims(x.shape[0], t.shape[0]), output_activation, rng)
 
     n_w = len(model.weights)
     params = list(model.weights) + list(model.biases)

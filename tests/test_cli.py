@@ -57,7 +57,10 @@ def test_eval_missing_model_exits_1(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     rc = main(["eval", "--config", str(cfg), "--train-set", "snr_0"])
     assert rc == 1
-    assert "snr_0" in capsys.readouterr().err
+    expected = tmp_path / "out" / "models" / "range_0_25" / "snr_0.mlp"
+    assert capsys.readouterr().err == (
+        f"arrayemu: error: no trained model for set 'snr_0' (range_0_25): expected {expected}\n"
+    )
     assert not (tmp_path / "out").exists()  # no empty models/ or results/ left behind
 
 
@@ -80,6 +83,9 @@ def test_config_without_a_test_trial_exits_1(tmp_path, capsys, override):
         "angle_ranges_deg=0:25;0:1",
         "split=1",
         "split=0.5,0.25,0.125,0.125",
+        "split=0.75,0.5,-0.25",
+        "num_targets=0",
+        "seed=-1",
     ],
 )
 def test_config_that_cannot_train_or_sweep_exits_1_before_writing(tmp_path, capsys, override):

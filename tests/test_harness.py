@@ -3,6 +3,7 @@ import hashlib
 import os
 import tracemalloc
 import weakref
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -83,6 +84,17 @@ NON_DEFAULT_VALUES = {
 }
 
 
+def leaf_fields(value, prefix=""):
+    """Dotted name -> value of every field under the dataclass ``value``,
+    descending into fields that are dataclasses themselves."""
+    leaves = {}
+    for f in fields(value):
+        v = getattr(value, f.name)
+        name = prefix + f.name
+        leaves.update(leaf_fields(v, name + ".") if is_dataclass(v) else {name: v})
+    return leaves
+
+
 def file_hash(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
@@ -125,6 +137,17 @@ class TestConfig:
             tiny_config(tmp_path, low=low, high=ArrayConfig(8, 8), num_targets=k)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (dict(num_targets=0), "num_targets \\(0\\) must be at least 1"),
+            (dict(seed=-1), "seed \\(-1\\) must be non-negative"),
+        ],
+    )
+    def test_no_target_or_negative_seed_rejected(self, tmp_path, kw, match):
+        with pytest.raises(ValueError, match=match):
+            tiny_config(tmp_path, **kw)
+
     @pytest.mark.parametrize("key", ["samples_per_set", "m1_samples", "m2_samples"])
     def test_set_smaller_than_a_batch_rejected(self, tmp_path, key):
         # 27 and 15 divide evenly over the 3 training SNRs but are below 30.
@@ -151,7 +174,9 @@ class TestConfig:
             draw_scene((lo, hi), 2, 5.0, 10, rng=0)
         tiny_config(tmp_path, angle_ranges_deg=[(0.0, 5.0)])
 
-    @pytest.mark.parametrize("split", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.0, 0.5)])
+    @pytest.mark.parametrize(
+        "split", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.5, 0.0, 0.5), (0.75, 0.5, -0.25)]
+    )
     def test_split_without_training_or_validation_part_rejected(self, split):
         with pytest.raises(ValueError, match="positive training and validation"):
             TrainConfig(split=split)
@@ -208,10 +233,17 @@ class TestConfig:
         assert key in NON_DEFAULT_VALUES, f"no non-default value listed for {key!r}"
         assert config_from_items({key: NON_DEFAULT_VALUES[key]}) != ExperimentConfig()
 
-    @pytest.mark.parametrize("kw", [dict(seed=5), dict(output_activation="relu")])
-    def test_derived_train_fields_rejected(self, kw):
-        with pytest.raises(ValueError, match="set seed and output_activation instead"):
-            ExperimentConfig(train=TrainConfig(**kw))
+    @pytest.mark.parametrize("leaf", sorted(leaf_fields(ExperimentConfig())))
+    def test_every_config_field_is_set_by_a_key(self, leaf):
+        """The reverse direction: no field, nested ones included, is out of
+        every config's reach."""
+        default = leaf_fields(ExperimentConfig())[leaf]
+        setters = [
+            key
+            for key, value in NON_DEFAULT_VALUES.items()
+            if leaf_fields(config_from_items({key: value}))[leaf] != default
+        ]
+        assert setters, f"no config key sets {leaf}"
 
     def test_overrides_apply(self, tmp_path):
         cfg = config_from_items({"seed": "7", "snapshots": "10", "test_samples": "100"})
@@ -274,7 +306,8 @@ def write_small_dataset(path, fill=1.0):
 
 def write_small_model(path):
     x = np.random.default_rng(0).uniform(-1, 1, size=(2, 40))
-    model, _ = train(x, x, TrainConfig(epochs=1, batch_size=10, split=(0.75, 0.25, 0.0)))
+    cfg = TrainConfig(epochs=1, batch_size=10, split=(0.75, 0.25, 0.0))
+    model, _ = train(x, x, cfg, 0, "linear")
     save_model(model, path)
 
 
@@ -350,11 +383,12 @@ def harness(tmp_path_factory):
 
 
 class TestTrainingAndEval:
-    def test_model_persisted_and_reloaded(self, harness):
+    def test_model_persisted_and_reloaded(self, harness, monkeypatch):
         model = harness.ensure_model(0, "snr_0")
         assert os.path.exists(harness.model_path(0, "snr_0"))
-        fresh = Harness(harness.cfg)
-        reloaded = fresh.ensure_model(0, "snr_0", train_missing=False)
+        trains = count_calls(monkeypatch, "train")
+        reloaded = Harness(harness.cfg).ensure_model(0, "snr_0")
+        assert trains == []
         for a, b in zip(model.weights, reloaded.weights):
             assert np.array_equal(a, b)
 
@@ -366,10 +400,34 @@ class TestTrainingAndEval:
             twin.model_path(0, "snr_0")
         )
 
-    def test_missing_model_error_names_file(self, harness):
-        fresh = Harness(harness.cfg)
-        with pytest.raises(FileNotFoundError, match="M2"):
-            fresh.ensure_model(0, "M2", train_missing=False)
+    @pytest.mark.parametrize("relu_handicap", [0.0, 1.0])
+    def test_both_activations_keep_the_lower_validation_loss(
+        self, tmp_path, monkeypatch, relu_handicap
+    ):
+        """With output_activation = both, train_set saves the run whose best
+        validation loss is lower, bit for bit as a direct ``train`` call with
+        the set's derived seed makes it.  Here relu wins on its own; adding
+        1 to relu's validation losses makes linear win."""
+
+        def handicapped(*args):
+            model, history = train(*args)
+            if args[4] == "relu":
+                history["val"] = [v + relu_handicap for v in history["val"]]
+            return model, history
+
+        monkeypatch.setattr(harness_module, "train", handicapped)
+        h = Harness(tiny_config(tmp_path / "exp", output_activation="both"))
+        h.train_set(0, "snr_0")
+        _, x, t = read_dataset(h.dataset_path(0, "snr_0"))
+        ss = np.random.SeedSequence([h.cfg.seed, 2, 0, h.cfg.set_ids.index("snr_0")])
+        seed = int(ss.generate_state(1)[0])
+        runs = {act: train(x.T, t.T, h.cfg.train, seed, act) for act in ("linear", "relu")}
+        best_linear = min(runs["linear"][1]["val"])
+        best_relu = min(runs["relu"][1]["val"]) + relu_handicap
+        want = "linear" if best_linear <= best_relu else "relu"
+        assert want == ("relu" if relu_handicap == 0 else "linear")
+        save_model(runs[want][0], tmp_path / "direct.mlp")
+        assert file_hash(h.model_path(0, "snr_0")) == file_hash(tmp_path / "direct.mlp")
 
     def test_raw_sweeps_have_expected_shape(self, harness):
         res = harness.run_case_sweep("raw_low")

@@ -222,14 +222,14 @@ class TestTrain:
 
     def test_descent_on_linear_task(self):
         x, t = self._linear_task()
-        cfg = TrainConfig(epochs=2, batch_size=32, split=(0.75, 0.25, 0.0), seed=0)
-        _, history = train(x, t, cfg)
+        cfg = TrainConfig(epochs=2, batch_size=32, split=(0.75, 0.25, 0.0))
+        _, history = train(x, t, cfg, 0, "linear")
         assert history["train"][-1] < history["train"][0]
 
     def test_final_loss_halves_on_linear_task(self):
         x, t = self._linear_task()
-        cfg = TrainConfig(epochs=30, batch_size=32, split=(0.75, 0.25, 0.0), seed=0)
-        _, history = train(x, t, cfg)
+        cfg = TrainConfig(epochs=30, batch_size=32, split=(0.75, 0.25, 0.0))
+        _, history = train(x, t, cfg, 0, "linear")
         assert history["train"][-1] < 0.5 * history["train"][0]
 
     def test_identity_task_low_val_mse(self):
@@ -238,15 +238,15 @@ class TestTrain:
         # a clean convergence check of the training loop itself.
         rng = np.random.default_rng(8)
         x = rng.uniform(-1, 1, size=(16, 2400))
-        cfg = TrainConfig(epochs=150, batch_size=120, split=(0.75, 0.25, 0.0), seed=1)
-        _, history = train(x, x.copy(), cfg, layer_dims=[16, 48, 48, 48, 16])
+        cfg = TrainConfig(epochs=150, batch_size=120, split=(0.75, 0.25, 0.0))
+        _, history = train(x, x.copy(), cfg, 1, "linear", layer_dims=[16, 48, 48, 48, 16])
         assert min(history["val"]) < 1e-3
 
     def test_seeded_determinism(self):
         x, t = self._linear_task()
-        cfg = TrainConfig(epochs=3, batch_size=32, split=(0.75, 0.25, 0.0), seed=5)
-        _, h1 = train(x, t, cfg)
-        _, h2 = train(x, t, cfg)
+        cfg = TrainConfig(epochs=3, batch_size=32, split=(0.75, 0.25, 0.0))
+        _, h1 = train(x, t, cfg, 5, "linear")
+        _, h2 = train(x, t, cfg, 5, "linear")
         assert h1 == h2
 
     @pytest.mark.parametrize("activation", ["linear", "relu"])
@@ -256,11 +256,9 @@ class TestTrain:
         rng = np.random.default_rng(21)
         x = rng.standard_normal((6, 530))
         t = np.vstack([x[:3] * x[3:], np.tanh(x)])
-        cfg = TrainConfig(
-            epochs=4, batch_size=48, split=(0.6, 0.2, 0.2), output_activation=activation, seed=9
-        )
-        model, history = train(x, t, cfg)
-        ref_w, ref_b, ref_history = reference_train(x, t, cfg)
+        cfg = TrainConfig(epochs=4, batch_size=48, split=(0.6, 0.2, 0.2))
+        model, history = train(x, t, cfg, 9, activation)
+        ref_w, ref_b, ref_history = reference_train(x, t, cfg, 9, activation)
         for got, want in zip(model.weights + model.biases, ref_w + ref_b):
             assert np.array_equal(got, want)
         assert history["val"] == ref_history["val"]
@@ -275,8 +273,8 @@ class TestTrain:
 
         monkeypatch.setattr(network, "mlp_backward", recording_backward)
         x, t = self._linear_task(n=400)
-        cfg = TrainConfig(epochs=3, batch_size=32, split=(0.75, 0.25, 0.0), seed=0)
-        _, history = train(x, t, cfg)
+        cfg = TrainConfig(epochs=3, batch_size=32, split=(0.75, 0.25, 0.0))
+        _, history = train(x, t, cfg, 0, "linear")
         per_epoch = -(-300 // 32)  # 300 training samples, the last batch short
         assert len(losses) == cfg.epochs * per_epoch
         assert len(history["train"]) == cfg.epochs
@@ -286,15 +284,15 @@ class TestTrain:
 
     def test_dataset_smaller_than_batch_rejected(self):
         with pytest.raises(ValueError):
-            train(np.ones((2, 10)), np.ones((2, 10)), TrainConfig(batch_size=120))
+            train(np.ones((2, 10)), np.ones((2, 10)), TrainConfig(batch_size=120), 0, "linear")
 
 
 class TestPredict:
     def _trained_identity_model(self):
         rng = np.random.default_rng(9)
         x = rng.uniform(-1, 1, size=(4, 600))
-        cfg = TrainConfig(epochs=120, batch_size=32, split=(0.75, 0.25, 0.0), seed=2)
-        model, _ = train(x, x.copy(), cfg, layer_dims=[4, 16, 16, 16, 4])
+        cfg = TrainConfig(epochs=120, batch_size=32, split=(0.75, 0.25, 0.0))
+        model, _ = train(x, x.copy(), cfg, 2, "linear", layer_dims=[4, 16, 16, 16, 4])
         return model
 
     def test_identity_task_prediction_close_to_input(self):
@@ -326,8 +324,8 @@ class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(12)
         x = rng.uniform(-1, 1, size=(4, 300))
-        cfg = TrainConfig(epochs=3, batch_size=32, split=(0.75, 0.25, 0.0), seed=3)
-        model, _ = train(x, 2 * x, cfg)
+        cfg = TrainConfig(epochs=3, batch_size=32, split=(0.75, 0.25, 0.0))
+        model, _ = train(x, 2 * x, cfg, 3, "linear")
         path = tmp_path / "model.mlp"
         save_model(model, path)
         loaded = load_model(path)
@@ -350,7 +348,8 @@ class TestSerialization:
     @staticmethod
     def saved_model(path):
         x = np.random.default_rng(4).uniform(-1, 1, size=(2, 40))
-        model, _ = train(x, x, TrainConfig(epochs=1, batch_size=10, split=(0.75, 0.25, 0.0)))
+        cfg = TrainConfig(epochs=1, batch_size=10, split=(0.75, 0.25, 0.0))
+        model, _ = train(x, x, cfg, 0, "linear")
         save_model(model, path)
         return path.read_bytes()
 
