@@ -7,8 +7,6 @@ from .arrays import (
     draw_scene,
     snr_to_noise_var,
     steering_matrix,
-    steering_rx,
-    steering_tx,
     synthesize_block,
     synthesize_pair,
     virtual_steering,

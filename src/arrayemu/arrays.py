@@ -20,8 +20,6 @@ import numpy as np
 __all__ = [
     "ArrayConfig",
     "TargetScene",
-    "steering_tx",
-    "steering_rx",
     "virtual_steering",
     "steering_matrix",
     "draw_rcs",
@@ -118,25 +116,17 @@ def _ula(count: int, theta_rad, cfg: ArrayConfig) -> np.ndarray:
     return np.exp(np.multiply.outer(phase_step, np.sin(theta_rad)))
 
 
-def steering_tx(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
-    """Transmit steering vector: element m is exp(j*2*pi*(d/lambda)*m*sin(theta))."""
-    _check_angle(theta_rad)
-    return _ula(cfg.tx_count, theta_rad, cfg)
-
-
-def steering_rx(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
-    """Receive steering vector of length rx_count; same phase law as steering_tx."""
-    _check_angle(theta_rad)
-    return _ula(cfg.rx_count, theta_rad, cfg)
-
-
 def virtual_steering(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
     """Virtual-array steering vector kron(a_tx, a_rx), TX index major."""
     return steering_matrix([theta_rad], cfg)[:, 0]
 
 
 def steering_matrix(angles_rad, cfg: ArrayConfig) -> np.ndarray:
-    """Stack virtual steering vectors as columns, one per angle."""
+    """Stack virtual steering vectors as columns, one per angle.
+
+    A one-sided vector is the column of a setup with one antenna on the
+    other side, e.g. ``ArrayConfig(M, 1)`` for the transmit array.
+    """
     angles_rad = np.atleast_1d(np.asarray(angles_rad, dtype=float))
     if angles_rad.size == 0:
         raise ValueError("steering_matrix needs at least one angle")

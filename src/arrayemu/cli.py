@@ -111,8 +111,9 @@ def dispatch(args) -> int:
     elif args.verb == "train":
         for r in range(len(cfg.angle_ranges_deg)):
             for sid in cfg.set_ids:
-                harness.ensure_model(r, sid)
-                print(f"trained {cfg.range_tag(r)}/{sid}")
+                if not os.path.exists(harness.model_path(r, sid)):
+                    harness.train_set(r, sid)
+                    print(f"trained {cfg.range_tag(r)}/{sid}")
     elif args.verb == "eval":
         # eval never trains: every range needs the set's model file.
         for r in range(len(cfg.angle_ranges_deg)):

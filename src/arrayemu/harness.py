@@ -103,7 +103,7 @@ class ExperimentConfig:
     m2_samples: int = 7700  # 14 x 550: equal shares of the 14 training SNRs, below 8000
     test_samples: int = 3000
     snapshots: int = 150
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(split=(0.75, 0.25, 0.0)))
+    train: TrainConfig = field(default_factory=TrainConfig)
     output_activation: str = "linear"  # "linear" | "relu" | "both"
     grid_step_deg: float = 0.1
     denoise_offsets_db: list[float] = field(default_factory=lambda: [8.0, 12.0])
@@ -114,6 +114,10 @@ class ExperimentConfig:
         for name in ("angle_ranges_deg", "snr_train_db", "snr_test_db"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
+        for name in ("snr_train_db", "snr_test_db", "denoise_offsets_db"):
+            bad = [v for v in getattr(self, name) if not np.isfinite(v)]
+            if bad:
+                raise ValueError(f"{name} must be finite, got {bad[0]}")
         if self.snapshots < 1:
             raise ValueError(f"snapshots ({self.snapshots}) must be at least 1")
         if self.test_samples < self.snapshots:

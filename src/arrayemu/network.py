@@ -96,7 +96,7 @@ class TrainConfig:
 
     epochs: int = 150
     batch_size: int = 120
-    split: tuple[float, float, float] = (0.6, 0.2, 0.2)
+    split: tuple[float, float, float] = (0.75, 0.25, 0.0)
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
@@ -173,17 +173,15 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 
 def mlp_forward(model: MlpModel, x: np.ndarray):
-    """Forward pass.
+    """Forward pass of a (features, samples) batch; a single sample is an
+    (F, 1) batch.
 
-    ``x`` is a feature vector or a (features, samples) batch.  Returns the
-    output in the same layout plus the list of cached layer activations
-    (post-activation, input included) needed by mlp_backward.
+    Returns the (outputs, samples) output plus the list of cached layer
+    activations (post-activation, input included) needed by mlp_backward.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    a = x[:, None] if single else x
-    if a.shape[0] != model.input_dim:
-        raise ValueError(f"input has {a.shape[0]} features, model expects {model.input_dim}")
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[0] != model.input_dim:
+        raise ValueError(f"input must be a ({model.input_dim}, samples) batch, got {a.shape}")
     activations = [a]
     n_layers = len(model.weights)
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -194,23 +192,24 @@ def mlp_forward(model: MlpModel, x: np.ndarray):
         else:
             a = _relu(z)
         activations.append(a)
-    out = activations[-1]
-    return (out[:, 0], activations) if single else (out, activations)
+    return activations[-1], activations
 
 
 def mlp_backward(model: MlpModel, x: np.ndarray, target: np.ndarray):
-    """Gradients of the MSE loss for a sample or batch.
+    """Gradients of the MSE loss for a (features, samples) input batch and
+    its (outputs, samples) target batch.
 
     The loss is the squared error averaged over output features and over
     the batch; batch gradients are therefore means of per-sample gradients.
     Returns (grad_weights, grad_biases, loss).
     """
-    x = np.asarray(x, dtype=float)
-    target = np.asarray(target, dtype=float)
-    a = x[:, None] if x.ndim == 1 else x
-    t = target[:, None] if target.ndim == 1 else target
-    if t.shape[0] != model.output_dim or t.shape[1] != a.shape[1]:
-        raise ValueError("target shape does not match model output / batch size")
+    a = np.asarray(x, dtype=float)
+    t = np.asarray(target, dtype=float)
+    if a.ndim != 2 or t.shape != (model.output_dim, a.shape[1]):
+        raise ValueError(
+            f"input {a.shape} and target {t.shape} must be (features, samples) batches "
+            f"with {model.output_dim} target rows and equal samples"
+        )
     out, acts = mlp_forward(model, a)
     batch = a.shape[1]
     err = out - t

@@ -10,8 +10,6 @@ from arrayemu.arrays import (
     draw_scene,
     snr_to_noise_var,
     steering_matrix,
-    steering_rx,
-    steering_tx,
     synthesize_block,
     synthesize_pair,
     virtual_steering,
@@ -29,6 +27,16 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def tx_vector(theta_rad, cfg):
+    """The transmit steering vector: the column of an M x 1 setup."""
+    return steering_matrix(theta_rad, ArrayConfig(cfg.tx_count, 1, cfg.spacing_wavelengths))[:, 0]
+
+
+def rx_vector(theta_rad, cfg):
+    """The receive steering vector: the column of a 1 x N setup."""
+    return steering_matrix(theta_rad, ArrayConfig(1, cfg.rx_count, cfg.spacing_wavelengths))[:, 0]
+
+
 def outcome(draw, seed):
     """``draw(rng)``'s result, or None if it raised ValueError, and the
     generator state it left."""
@@ -43,36 +51,36 @@ def outcome(draw, seed):
 class TestSteering:
     def test_tx_broadside_is_all_ones(self):
         cfg = ArrayConfig(4, 3)
-        assert np.allclose(steering_tx(0.0, cfg), np.ones(4))
+        assert np.allclose(tx_vector(0.0, cfg), np.ones(4))
 
     def test_tx_30deg_second_element(self):
         cfg = ArrayConfig(4, 3, spacing_wavelengths=0.5)
-        v = steering_tx(deg(30), cfg)
+        v = tx_vector(deg(30), cfg)
         assert v[1] == pytest.approx(1j, abs=1e-12)
 
     def test_tx_conjugate_symmetry(self):
         cfg = ArrayConfig(4, 3)
-        assert steering_tx(deg(-30), cfg)[1] == pytest.approx(-1j, abs=1e-12)
+        assert tx_vector(deg(-30), cfg)[1] == pytest.approx(-1j, abs=1e-12)
 
     def test_rx_broadside(self):
         cfg = ArrayConfig(4, 3)
-        assert np.allclose(steering_rx(0.0, cfg), np.ones(3))
+        assert np.allclose(rx_vector(0.0, cfg), np.ones(3))
 
     def test_rx_near_endfire_phase(self):
         cfg = ArrayConfig(2, 4)
         eps = 1e-9
-        v = steering_rx(np.pi / 2 - eps, cfg)
+        v = rx_vector(np.pi / 2 - eps, cfg)
         # sin -> 1, so element n approaches exp(j * 2*pi*(d/lambda) * n)
         expect = np.exp(1j * 2 * np.pi * 0.5 * np.arange(4))
         assert np.allclose(v, expect, atol=1e-6)
 
     def test_rx_30deg_two_elements(self):
         cfg = ArrayConfig(4, 2)
-        assert np.allclose(steering_rx(deg(30), cfg), [1, 1j], atol=1e-12)
+        assert np.allclose(rx_vector(deg(30), cfg), [1, 1j], atol=1e-12)
 
     def test_angle_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            steering_tx(np.pi / 2, ArrayConfig(2, 2))
+            tx_vector(np.pi / 2, ArrayConfig(2, 2))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -84,8 +92,8 @@ class TestSteering:
         cfg = ArrayConfig(m, n)
         v = virtual_steering(deg(theta), cfg)
         assert np.max(np.abs(np.abs(v) - 1.0)) < 1e-12
-        at = steering_tx(deg(theta), cfg)
-        ar = steering_rx(deg(theta), cfg)
+        at = tx_vector(deg(theta), cfg)
+        ar = rx_vector(deg(theta), cfg)
         manual = np.array([at[i] * ar[j] for i in range(m) for j in range(n)])
         assert np.allclose(v, manual, atol=1e-12)
 
@@ -131,12 +139,15 @@ class TestSteeringMatrix:
         [ArrayConfig(4, 4), ArrayConfig(8, 8), ArrayConfig(2, 3, 0.37), ArrayConfig(5, 2, 1.3)],
     )
     def test_bit_identical_to_per_angle_kron(self, cfg):
-        """The broadcast equals the kron of the per-angle TX/RX vectors
-        bit for bit, not just within rounding."""
+        """The broadcast equals the kron of the per-angle TX/RX phase-law
+        vectors bit for bit, not just within rounding."""
         rng = np.random.default_rng(7)
         angles = np.concatenate([rng.uniform(-1.57, 1.57, 200), deg(np.arange(35.0, 70.05, 0.1))])
         kron = np.column_stack(
-            [np.kron(steering_tx(t, cfg), steering_rx(t, cfg)) for t in angles]
+            [
+                np.kron(arrays_module._ula(cfg.tx_count, t, cfg), arrays_module._ula(cfg.rx_count, t, cfg))
+                for t in angles
+            ]
         )
         assert np.array_equal(steering_matrix(angles, cfg), kron)
         assert np.array_equal(virtual_steering(angles[3], cfg), kron[:, 3])

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from arrayemu import harness, network
 from arrayemu.cli import main
 from arrayemu.harness import CASES
 
@@ -86,6 +87,9 @@ def test_config_without_a_test_trial_exits_1(tmp_path, capsys, override):
         "split=0.75,0.5,-0.25",
         "num_targets=0",
         "seed=-1",
+        "snr_test_db=nan",
+        "snr_train_db=-5,inf,5",
+        "denoise_offsets_db=nan",
     ],
 )
 def test_config_that_cannot_train_or_sweep_exits_1_before_writing(tmp_path, capsys, override):
@@ -176,6 +180,26 @@ def trained(tmp_path_factory):
     cfg = write_tiny_config(tmp_path)
     assert main(["train", "--config", str(cfg)]) == 0
     return cfg, tmp_path / "out" / "results"
+
+
+def test_second_train_loads_and_rewrites_no_model(trained, monkeypatch, capsys):
+    """A set whose model file exists is neither loaded nor trained again."""
+    cfg, results = trained
+    models = sorted((results.parent / "models").rglob("*.mlp"))
+    assert len(models) == 5
+
+    def snapshot():
+        return [(p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in models]
+
+    before = snapshot()
+    loads = []
+    for module in (network, harness):
+        monkeypatch.setattr(module, "load_model", lambda path: loads.append(path))
+    capsys.readouterr()
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert loads == []
+    assert "trained" not in capsys.readouterr().out
+    assert snapshot() == before
 
 
 def test_eval_writes_the_mixed_m1_sweep(trained):

@@ -88,7 +88,8 @@ class TestForward:
             biases=[np.zeros(b) for b in dims[1:]],
             output_activation="linear",
         )
-        out, _ = mlp_forward(model, np.ones(3))
+        out, _ = mlp_forward(model, np.ones((3, 1)))
+        assert out.shape == (2, 1)
         assert np.all(out == 0.0)
 
     def test_relu_kills_negative_path(self):
@@ -98,21 +99,28 @@ class TestForward:
             biases=[np.zeros(1)],
             output_activation="relu",
         )
-        out, _ = mlp_forward(model, np.array([2.0]))
-        assert out[0] == 0.0
+        out, _ = mlp_forward(model, np.array([[2.0]]))
+        assert out[0, 0] == 0.0
 
     def test_matches_independent_chain_evaluation(self):
         rng = np.random.default_rng(3)
         model = init_model([5, 6, 6, 4, 4], "linear", rng)
-        x = rng.standard_normal(5)
+        x = rng.standard_normal((5, 1))
         out, _ = mlp_forward(model, x)
-        oracle = forward_chain(model.weights, model.biases, "linear", x)
-        assert np.max(np.abs(out - oracle)) < 1e-12
+        oracle = forward_chain(model.weights, model.biases, "linear", x[:, 0])
+        assert np.max(np.abs(out[:, 0] - oracle)) < 1e-12
 
     def test_dimension_mismatch_rejected(self):
         model = init_model([3, 2], "linear", 0)
         with pytest.raises(ValueError):
-            mlp_forward(model, np.ones(4))
+            mlp_forward(model, np.ones((4, 1)))
+
+    def test_one_dimensional_input_rejected(self):
+        """A feature vector of the right length is not a batch: without the
+        check, ``w @ x + b[:, None]`` would broadcast it to a square matrix."""
+        model = init_model([3, 2], "linear", 0)
+        with pytest.raises(ValueError, match=r"\(3, samples\) batch"):
+            mlp_forward(model, np.ones(model.input_dim))
 
 
 class TestBackward:
@@ -123,7 +131,7 @@ class TestBackward:
             biases=[np.zeros(2)],
             output_activation="linear",
         )
-        x = np.array([0.5, -0.2])
+        x = np.array([[0.5], [-0.2]])
         gw, gb, loss = mlp_backward(model, x, mlp_forward(model, x)[0])
         assert loss == 0.0
         assert all(np.all(g == 0) for g in gw + gb)
@@ -137,15 +145,15 @@ class TestBackward:
             biases=[np.zeros(2)],
             output_activation="linear",
         )
-        gw, _, _ = mlp_backward(model, np.array([1.0]), np.zeros(2))
+        gw, _, _ = mlp_backward(model, np.array([[1.0]]), np.zeros((2, 1)))
         assert gw[0][0, 0] == pytest.approx(2.0, rel=1e-12)
 
     @pytest.mark.parametrize("activation", ["linear", "relu"])
     def test_matches_finite_differences(self, activation):
         rng = np.random.default_rng(5)
         model = init_model([4, 5, 5, 3, 3], activation, rng)
-        x = rng.standard_normal(4)
-        t = rng.standard_normal(3)
+        x = rng.standard_normal((4, 1))
+        t = rng.standard_normal((3, 1))
         gw, gb, _ = mlp_backward(model, x, t)
         ow, ob = fd_gradients(model, x, t)
         for got, want in zip(gw + gb, ow + ob):
@@ -158,7 +166,7 @@ class TestBackward:
         x = rng.standard_normal((3, 5))
         t = rng.standard_normal((2, 5))
         gw_batch, gb_batch, _ = mlp_backward(model, x, t)
-        per_sample = [mlp_backward(model, x[:, i], t[:, i])[:2] for i in range(5)]
+        per_sample = [mlp_backward(model, x[:, i : i + 1], t[:, i : i + 1])[:2] for i in range(5)]
         for li in range(len(model.weights)):
             mean_w = np.mean([p[0][li] for p in per_sample], axis=0)
             assert np.allclose(gw_batch[li], mean_w, atol=1e-12)
@@ -166,7 +174,17 @@ class TestBackward:
     def test_shape_mismatch_rejected(self):
         model = init_model([3, 2], "linear", 0)
         with pytest.raises(ValueError):
-            mlp_backward(model, np.ones(3), np.ones(3))
+            mlp_backward(model, np.ones((3, 1)), np.ones((3, 1)))
+
+    @pytest.mark.parametrize(
+        "x, target",
+        [(np.ones(3), np.ones((2, 1))), (np.ones((3, 1)), np.ones(2)), (np.ones(3), np.ones(2))],
+        ids=["input", "target", "both"],
+    )
+    def test_one_dimensional_input_or_target_rejected(self, x, target):
+        model = init_model([3, 2], "linear", 0)
+        with pytest.raises(ValueError, match="batches"):
+            mlp_backward(model, x, target)
 
 
 class TestAdam:
