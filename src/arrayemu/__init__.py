@@ -9,7 +9,6 @@ from .arrays import (
     steering_matrix,
     synthesize_block,
     synthesize_pair,
-    virtual_steering,
 )
 from .music import (
     SpectrumResult,

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "ArrayConfig",
     "TargetScene",
-    "virtual_steering",
     "steering_matrix",
     "draw_rcs",
     "draw_scene",
@@ -116,13 +115,8 @@ def _ula(count: int, theta_rad, cfg: ArrayConfig) -> np.ndarray:
     return np.exp(np.multiply.outer(phase_step, np.sin(theta_rad)))
 
 
-def virtual_steering(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
-    """Virtual-array steering vector kron(a_tx, a_rx), TX index major."""
-    return steering_matrix([theta_rad], cfg)[:, 0]
-
-
 def steering_matrix(angles_rad, cfg: ArrayConfig) -> np.ndarray:
-    """Stack virtual steering vectors as columns, one per angle.
+    """Stack virtual steering vectors kron(a_tx, a_rx), TX-major, one column per angle.
 
     A one-sided vector is the column of a setup with one antenna on the
     other side, e.g. ``ArrayConfig(M, 1)`` for the transmit array.
@@ -149,6 +143,8 @@ def draw_rcs(k: int, pulses: int, rng) -> np.ndarray:
 def check_spacing(range_deg, k: int, min_sep_deg: float) -> None:
     """Raise unless ``range_deg`` can hold k targets ``min_sep_deg`` apart."""
     lo, hi = float(range_deg[0]), float(range_deg[1])
+    if not min_sep_deg >= 0:
+        raise ValueError(f"min_sep_deg must be non-negative, got {min_sep_deg}")
     if hi - lo < (k - 1) * min_sep_deg:
         raise ValueError(
             f"range [{lo}, {hi}] deg cannot hold {k} targets "

@@ -161,11 +161,22 @@ class ExperimentConfig:
                     f"spectrum grid of {self.range_tag(r)} ({angles[0]:g} to "
                     f"{angles[-1]:g} deg) must lie inside (-90, 90) deg"
                 )
+            if angles.size < self.num_targets:
+                raise ValueError(
+                    f"spectrum grid of {self.range_tag(r)} has fewer points "
+                    f"({angles.size}) than num_targets ({self.num_targets})"
+                )
             check_spacing(self.angle_ranges_deg[r], self.num_targets, self.min_sep_deg)
-        ids = self.set_ids
-        dupes = sorted({sid for sid in ids if ids.count(sid) > 1})
-        if dupes:
-            raise ValueError(f"snr_train_db gives duplicate training set ids: {dupes}")
+        tags = [self.range_tag(r) for r in range(len(self.angle_ranges_deg))]
+        columns = [f"r_offset_{off:g}" for off in self.denoise_offsets_db]
+        for key, what, labels in (
+            ("angle_ranges_deg", "range tags", tags),
+            ("snr_train_db", "training set ids", self.set_ids),
+            ("denoise_offsets_db", "column labels", columns),
+        ):
+            dupes = sorted({label for label in labels if labels.count(label) > 1})
+            if dupes:
+                raise ValueError(f"{key} gives duplicate {what}: {dupes}")
 
     @property
     def trials(self) -> int:
@@ -360,18 +371,13 @@ def read_results(path) -> SweepResult:
         if header != SWEEP_HEADER:
             raise ValueError(f"{path}: unexpected result header {header}")
         rows = []
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split(",")
-            rows.append(
-                SweepRow(
-                    angle_range=parts[0],
-                    train_set_id=parts[1],
-                    **{
-                        col: float(val)
-                        for col, val in zip(SWEEP_HEADER[2:], parts[2:])
-                    },
+            if len(parts) != len(SWEEP_HEADER):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(SWEEP_HEADER)} fields, got {len(parts)}"
                 )
-            )
+            rows.append(SweepRow(parts[0], parts[1], *map(float, parts[2:])))
     return SweepResult(rows=rows)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .arrays import ArrayConfig, steering_matrix, virtual_steering
+from .arrays import ArrayConfig, steering_matrix
 
 __all__ = [
     "cov_error",
@@ -38,21 +38,16 @@ def cov_error(r_ref, r_pre) -> float:
     return float(np.mean(errors))
 
 
-def _derivative_factor(theta_rad, cfg: ArrayConfig) -> np.ndarray:
-    """j * 2*pi*(d/lambda) * (m + n) * cos(theta), TX-major rows; an array
-    of angles adds trailing axes, matching steering_matrix's columns."""
-    m_plus_n = np.add.outer(np.arange(cfg.tx_count), np.arange(cfg.rx_count)).ravel()
-    factor = 1j * 2 * np.pi * cfg.spacing_wavelengths * np.cos(theta_rad)
-    return np.multiply.outer(m_plus_n, factor)
-
-
-def steering_derivative(theta_rad: float, cfg: ArrayConfig) -> np.ndarray:
-    """Analytic d v(theta)/d theta for the virtual steering vector.
+def steering_derivative(angles_rad, cfg: ArrayConfig) -> np.ndarray:
+    """Analytic d v(theta)/d theta, one column per angle like steering_matrix.
 
     With v laid out TX-major, the (m, n) element picks up the factor
     j * 2*pi*(d/lambda) * (m + n) * cos(theta).
     """
-    return _derivative_factor(theta_rad, cfg) * virtual_steering(theta_rad, cfg)
+    a = steering_matrix(angles_rad, cfg)
+    m_plus_n = np.add.outer(np.arange(cfg.tx_count), np.arange(cfg.rx_count)).ravel()
+    factor = 1j * 2 * np.pi * cfg.spacing_wavelengths * np.cos(np.atleast_1d(angles_rad))
+    return np.multiply.outer(m_plus_n, factor) * a
 
 
 def crb(angles_rad, x: np.ndarray, sigma2: float, cfg: ArrayConfig) -> np.ndarray:
@@ -90,7 +85,7 @@ def crb(angles_rad, x: np.ndarray, sigma2: float, cfg: ArrayConfig) -> np.ndarra
     gram = ah @ a
     if np.any(np.linalg.cond(gram) > _COND_LIMIT):
         raise ValueError("steering matrix is rank deficient (coincident angles?)")
-    ae = per_scene(_derivative_factor(flat, cfg)) * a
+    ae = per_scene(steering_derivative(flat, cfg))
     # P = I - A (A^H A)^-1 A^H, written over the product: a second
     # (Q, MN, MN) temporary cost more in page faults than the arithmetic.
     proj = a @ np.linalg.solve(gram, ah)

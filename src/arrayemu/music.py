@@ -90,8 +90,8 @@ def noise_subspace(eigenvectors: np.ndarray, k: int) -> np.ndarray:
 def grid_angles(grid) -> np.ndarray:
     """Degree grid lo, lo + step, ..., hi from ``grid`` = (lo_deg, hi_deg, step_deg)."""
     lo, hi, step = float(grid[0]), float(grid[1]), float(grid[2])
-    if step <= 0:
-        raise ValueError("grid step must be positive")
+    if not 0 < step < np.inf:
+        raise ValueError(f"grid step must be positive and finite, got {step}")
     npts = int(round((hi - lo) / step)) + 1
     if npts < 1:
         raise ValueError("empty spectrum grid")

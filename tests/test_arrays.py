@@ -12,7 +12,6 @@ from arrayemu.arrays import (
     steering_matrix,
     synthesize_block,
     synthesize_pair,
-    virtual_steering,
 )
 
 from oracles import reference_draw_scene, reference_synthesize_block
@@ -25,6 +24,11 @@ def deg(x):
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def virtual_vector(theta_rad, cfg):
+    """The virtual steering vector: the one column of ``steering_matrix``."""
+    return steering_matrix([theta_rad], cfg)[:, 0]
 
 
 def tx_vector(theta_rad, cfg):
@@ -90,7 +94,7 @@ class TestSteering:
     )
     def test_unit_modulus_and_kron_layout(self, theta, m, n):
         cfg = ArrayConfig(m, n)
-        v = virtual_steering(deg(theta), cfg)
+        v = virtual_vector(deg(theta), cfg)
         assert np.max(np.abs(np.abs(v) - 1.0)) < 1e-12
         at = tx_vector(deg(theta), cfg)
         ar = rx_vector(deg(theta), cfg)
@@ -100,16 +104,16 @@ class TestSteering:
 
 class TestVirtualSteering:
     def test_broadside_all_ones(self):
-        assert np.allclose(virtual_steering(0.0, ArrayConfig(2, 2)), np.ones(4))
+        assert np.allclose(virtual_vector(0.0, ArrayConfig(2, 2)), np.ones(4))
 
     def test_30deg_2x2(self):
-        v = virtual_steering(deg(30), ArrayConfig(2, 2))
+        v = virtual_vector(deg(30), ArrayConfig(2, 2))
         assert np.allclose(v, [1, 1j, 1j, -1], atol=1e-12)
 
     def test_norm_squared_equals_mn(self):
         cfg = ArrayConfig(3, 5)
         for theta in (-1.0, 0.3, 1.2):
-            assert np.linalg.norm(virtual_steering(theta, cfg)) ** 2 == pytest.approx(15)
+            assert np.linalg.norm(virtual_vector(theta, cfg)) ** 2 == pytest.approx(15)
 
 
 class TestSteeringMatrix:
@@ -117,7 +121,7 @@ class TestSteeringMatrix:
         cfg = ArrayConfig(2, 3)
         a = steering_matrix([0.4], cfg)
         assert a.shape == (6, 1)
-        assert np.allclose(a[:, 0], virtual_steering(0.4, cfg))
+        assert np.allclose(a[:, 0], np.kron(tx_vector(0.4, cfg), rx_vector(0.4, cfg)))
 
     def test_distinct_angles_independent_columns(self):
         cfg = ArrayConfig(2, 2)
@@ -150,7 +154,7 @@ class TestSteeringMatrix:
             ]
         )
         assert np.array_equal(steering_matrix(angles, cfg), kron)
-        assert np.array_equal(virtual_steering(angles[3], cfg), kron[:, 3])
+        assert np.array_equal(virtual_vector(angles[3], cfg), kron[:, 3])
 
     @pytest.mark.parametrize("bad", [np.pi / 2, -np.pi / 2, np.nan])
     @pytest.mark.parametrize("pos", [0, 1, 2])
@@ -283,7 +287,7 @@ class TestSynthesizePair:
     def test_noiseless_single_target_column(self):
         scene = TargetScene(angles_rad=np.array([0.3]), rcs=np.array([[2.0 - 1.0j]]))
         bl, _ = synthesize_pair(scene, self.low, self.high, snr_db=400.0, rng=0)
-        assert np.allclose(bl[:, 0], scene.rcs[0, 0] * virtual_steering(0.3, self.low), atol=1e-10)
+        assert np.allclose(bl[:, 0], scene.rcs[0, 0] * virtual_vector(0.3, self.low), atol=1e-10)
 
     def test_noiseless_columns_in_signal_span(self):
         scene = draw_scene((0, 25), 2, 5.0, pulses=6, rng=2)

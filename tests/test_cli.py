@@ -90,6 +90,13 @@ def test_config_without_a_test_trial_exits_1(tmp_path, capsys, override):
         "snr_test_db=nan",
         "snr_train_db=-5,inf,5",
         "denoise_offsets_db=nan",
+        "angle_ranges_deg=0.1234567:25;0.1234568:25",
+        "denoise_offsets_db=8,8.0000001",
+        "grid_step_deg=100",
+        "grid_step_deg=inf",
+        "grid_step_deg=nan",
+        "min_sep_deg=nan",
+        "min_sep_deg=-3",
     ],
 )
 def test_config_that_cannot_train_or_sweep_exits_1_before_writing(tmp_path, capsys, override):

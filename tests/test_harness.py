@@ -130,6 +130,34 @@ class TestConfig:
         with pytest.raises(ValueError, match="duplicate training set ids: \\['snr_1'\\]"):
             tiny_config(tmp_path, snr_train_db=[1.0, 1.0000001, 5.0])
 
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (
+                dict(angle_ranges_deg=[(0.1234567, 25.0), (0.1234568, 25.0)]),
+                "angle_ranges_deg gives duplicate range tags: \\['range_0.123457_25'\\]",
+            ),
+            (
+                dict(denoise_offsets_db=[8.0, 8.0000001]),
+                "denoise_offsets_db gives duplicate column labels: \\['r_offset_8'\\]",
+            ),
+        ],
+    )
+    def test_colliding_labels_rejected(self, tmp_path, kw, match):
+        """Two ranges with one tag would share every dataset and model file,
+        and two offsets with one label would share one denoise.csv column."""
+        with pytest.raises(ValueError, match=match):
+            tiny_config(tmp_path, **kw)
+
+    @pytest.mark.parametrize("sep", [float("nan"), -3.0])
+    def test_nan_or_negative_separation_rejected(self, tmp_path, sep):
+        match = f"min_sep_deg must be non-negative, got {sep}"
+        with pytest.raises(ValueError, match=match):
+            tiny_config(tmp_path, min_sep_deg=sep)
+        with pytest.raises(ValueError, match=match):
+            draw_scene((0.0, 25.0), 2, sep, 10, rng=0)
+        tiny_config(tmp_path, min_sep_deg=0.0)
+
     @pytest.mark.parametrize("low, k", [(ArrayConfig(2, 2), 3), (ArrayConfig(4, 4), 7)])
     def test_too_many_targets_rejected(self, tmp_path, low, k):
         """More targets than the low array's M+N-2 bound fail before any file is written."""
@@ -189,6 +217,12 @@ class TestConfig:
             (dict(angle_ranges_deg=[(0.0, 25.0), (60.0, 88.0)]), "range_60_88 \\(55 to 93 deg\\)"),
             (dict(angle_ranges_deg=[(-85.0, -60.0)]), "inside \\(-90, 90\\)"),
             (dict(angle_ranges_deg=[(60.0, 85.0)]), "inside \\(-90, 90\\)"),
+            (dict(grid_step_deg=np.inf), "grid step must be positive and finite, got inf"),
+            (dict(grid_step_deg=np.nan), "grid step must be positive and finite, got nan"),
+            (
+                dict(grid_step_deg=100.0),
+                "spectrum grid of range_0_25 has fewer points \\(1\\) than num_targets \\(2\\)",
+            ),
         ],
     )
     def test_bad_spectrum_grid_rejected(self, tmp_path, kw, match):
@@ -685,3 +719,20 @@ class TestResultsCsv:
         write_results(self._rows(), p1)
         write_results(self._rows(), p2)
         assert file_hash(p1) == file_hash(p2)
+
+    def _read_with_row(self, tmp_path, edit):
+        """read_results on a table whose second data row went through ``edit``."""
+        path = tmp_path / "res.csv"
+        write_results(self._rows(), path)
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        return read_results(path)
+
+    def test_row_with_an_extra_field_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="res.csv:3: expected 10 fields, got 11"):
+            self._read_with_row(tmp_path, lambda row: row + ",0.3")
+
+    def test_short_row_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="res.csv:3: expected 10 fields, got 9"):
+            self._read_with_row(tmp_path, lambda row: row[: row.rindex(",")])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from arrayemu.arrays import ArrayConfig, draw_rcs, draw_scene, steering_matrix, virtual_steering
-from arrayemu.metrics import _derivative_factor, cov_error, crb, steering_derivative
+from arrayemu.arrays import ArrayConfig, draw_rcs, draw_scene, steering_matrix
+from arrayemu.metrics import cov_error, crb, steering_derivative
 
 
 def random_cov(n, seed):
@@ -35,19 +35,19 @@ class TestCovError:
 
 class TestSteeringDerivative:
     def test_broadside_2x2_analytic(self):
-        d = steering_derivative(0.0, ArrayConfig(2, 2))
+        d = steering_derivative(0.0, ArrayConfig(2, 2))[:, 0]
         assert np.allclose(d, 1j * np.pi * np.array([0, 1, 1, 2]), atol=1e-12)
 
     def test_first_element_always_zero(self):
         for theta in (-0.9, 0.0, 0.4, 1.2):
-            assert steering_derivative(theta, ArrayConfig(3, 4))[0] == 0.0
+            assert steering_derivative(theta, ArrayConfig(3, 4))[0, 0] == 0.0
 
     def test_matches_finite_differences(self):
         cfg = ArrayConfig(3, 4)
         h = 1e-7
         for theta in (-1.0, -0.2, 0.0, 0.5, 1.1):
-            fd = (virtual_steering(theta + h, cfg) - virtual_steering(theta - h, cfg)) / (2 * h)
-            d = steering_derivative(theta, cfg)
+            fd = (steering_matrix([theta + h], cfg) - steering_matrix([theta - h], cfg))[:, 0] / (2 * h)
+            d = steering_derivative(theta, cfg)[:, 0]
             assert np.max(np.abs(d - fd)) / np.max(np.abs(fd) + 1e-12) < 1e-6
 
 
@@ -91,12 +91,15 @@ class TestCrb:
         [ArrayConfig(2, 2), ArrayConfig(8, 8), ArrayConfig(3, 4, 0.37), ArrayConfig(2, 5, 1.3)],
     )
     def test_derivative_columns_bit_identical(self, cfg):
-        """crb's broadcast derivative columns equal steering_derivative per
-        angle exactly, so the bound matches one built column by column."""
+        """A batch of angles gives each angle's own derivative column
+        exactly, so crb's bound matches one built column by column."""
         angles = np.deg2rad([-61.3, -7.0, 0.0, 12.25, 44.4, 80.9])
-        a = steering_matrix(angles, cfg)
-        columns = np.column_stack([steering_derivative(t, cfg) for t in angles])
-        assert np.array_equal(_derivative_factor(angles, cfg) * a, columns)
+        batch = steering_derivative(angles, cfg)
+        assert batch.shape == (cfg.virtual_size, angles.size)
+        for i, theta in enumerate(angles):
+            single = steering_derivative(theta, cfg)
+            assert single.shape == (cfg.virtual_size, 1)
+            assert np.array_equal(batch[:, i], single[:, 0])
 
 
 class TestCrbStack:

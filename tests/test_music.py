@@ -9,7 +9,6 @@ from arrayemu.arrays import (
     draw_scene,
     steering_matrix,
     synthesize_block,
-    virtual_steering,
 )
 from arrayemu.music import (
     doa_mse,
@@ -133,7 +132,7 @@ class TestNoiseSubspace:
         block = synthesize_block(scene, cfg, NOISELESS, rng=2)
         un = noise_subspace(hermitian_eig(sample_covariance(block))[1], 2)
         for theta in scene.angles_rad:
-            v = virtual_steering(theta, cfg)
+            v = steering_matrix([theta], cfg)[:, 0]
             assert np.max(np.abs(un.conj().T @ v)) < 1e-8
 
 
