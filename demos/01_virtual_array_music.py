@@ -34,12 +34,12 @@ for name, arr in (("low", low), ("high", high)):
           f"-> {arr.virtual_size} virtual elements")
 
 rng = np.random.default_rng(7)
-scene = draw_scene((0.0, 25.0), k=4, min_sep_deg=5.0, pulses=150, rng=rng)
-truth_deg = np.sort(np.rad2deg(scene.angles_rad))
+angles_rad, rcs = draw_scene((0.0, 25.0), k=4, min_sep_deg=5.0, pulses=150, rng=rng)
+truth_deg = np.sort(np.rad2deg(angles_rad))
 print("true DOAs [deg]:", np.round(truth_deg, 2))
 
 # Same scene, same SNR, independent receiver noise per aperture.
-block_low, block_high = synthesize_pair(scene, low, high, snr_db=10.0, rng=rng)
+block_low, block_high = synthesize_pair(angles_rad, rcs, low, high, snr_db=10.0, rng=rng)
 
 for name, block, arr in (("low", block_low, low), ("high", block_high, high)):
     eigenvalues, eigenvectors = hermitian_eig(sample_covariance(block))

@@ -34,8 +34,8 @@ rng = np.random.default_rng(42)
 pulses, scenes = 30, 100
 inputs, targets = [], []
 for _ in range(scenes):
-    scene = draw_scene(angle_range, k=2, min_sep_deg=5.0, pulses=pulses, rng=rng)
-    bl, bh = synthesize_pair(scene, low, high, snr_db, rng)
+    angles_rad, rcs = draw_scene(angle_range, k=2, min_sep_deg=5.0, pulses=pulses, rng=rng)
+    bl, bh = synthesize_pair(angles_rad, rcs, low, high, snr_db, rng)
     inputs.append(stack_real_imag(bl))
     targets.append(stack_real_imag(bh))
 x = np.concatenate(inputs, axis=1)   # (2*4, 3000)
@@ -50,8 +50,8 @@ print(f"best validation MSE: {min(history['val']):.4f}")
 
 # Evaluate on an unseen scene: emulate the high array from low-array data
 # and compare covariances against the genuinely observed high array.
-scene = draw_scene(angle_range, k=2, min_sep_deg=5.0, pulses=150, rng=rng)
-bl, bh = synthesize_pair(scene, low, high, snr_db, rng)
+angles_rad, rcs = draw_scene(angle_range, k=2, min_sep_deg=5.0, pulses=150, rng=rng)
+bl, bh = synthesize_pair(angles_rad, rcs, low, high, snr_db, rng)
 emulated = predict(model, bl, high)
 
 r_actual = sample_covariance(bh)

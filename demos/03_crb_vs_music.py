@@ -33,13 +33,13 @@ pulses, trials = 150, 50
 grid = (-5.0, 30.0, 0.1)
 
 rng = np.random.default_rng(3)
-scene = draw_scene((0.0, 25.0), k=2, min_sep_deg=10.0, pulses=pulses, rng=rng)
-truth_deg = np.sort(np.rad2deg(scene.angles_rad))
+angles_rad, rcs = draw_scene((0.0, 25.0), k=2, min_sep_deg=10.0, pulses=pulses, rng=rng)
+truth_deg = np.sort(np.rad2deg(angles_rad))
 print("scene DOAs [deg]:", np.round(truth_deg, 2))
 
 
 def music_once(arr, snr_db, trial_rng):
-    block = synthesize_block(scene, arr, snr_db, trial_rng)
+    block = synthesize_block(angles_rad, rcs, arr, snr_db, trial_rng)
     un = noise_subspace(hermitian_eig(sample_covariance(block))[1], k=2)
     angles, _ = pick_peaks(music_spectrum(un, arr, grid), k=2)
     return angles
@@ -50,7 +50,7 @@ for snr_db in (-10.0, -5.0, 0.0, 5.0, 10.0):
     sigma2 = snr_to_noise_var(snr_db)
     row = [f"{snr_db:5.0f}"]
     for arr in (low, high):
-        bound = float(np.mean(np.diagonal(crb(scene.angles_rad, scene.rcs, sigma2, arr))))
+        bound = float(np.mean(np.diagonal(crb(angles_rad, rcs, sigma2, arr))))
         estimates = np.vstack([music_once(arr, snr_db, rng) for _ in range(trials)])
         mse = doa_mse(estimates, np.tile(truth_deg, (trials, 1)))
         row += [f"{bound:10.2e}", f"{mse:10.2e}"]

@@ -2,7 +2,6 @@
 
 from .arrays import (
     ArrayConfig,
-    TargetScene,
     draw_rcs,
     draw_scene,
     snr_to_noise_var,

@@ -19,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "ArrayConfig",
-    "TargetScene",
     "steering_matrix",
     "draw_rcs",
     "draw_scene",
@@ -56,8 +55,10 @@ class ArrayConfig:
     def __post_init__(self):
         if self.tx_count < 1 or self.rx_count < 1:
             raise ValueError("antenna counts must be >= 1")
-        if not self.spacing_wavelengths > 0:
-            raise ValueError("spacing_wavelengths must be positive")
+        if not 0 < self.spacing_wavelengths < np.inf:
+            raise ValueError(
+                f"spacing_wavelengths must be positive and finite, got {self.spacing_wavelengths}"
+            )
 
     @property
     def virtual_size(self) -> int:
@@ -73,27 +74,6 @@ class ArrayConfig:
         needs at least one spare dimension, which leaves M+N-2 targets.
         """
         return self.tx_count + self.rx_count - 2
-
-
-@dataclass(frozen=True)
-class TargetScene:
-    """K point targets: directions plus a per-pulse reflectivity matrix."""
-
-    angles_rad: np.ndarray
-    rcs: np.ndarray  # complex, K x P
-
-    def __post_init__(self):
-        object.__setattr__(self, "angles_rad", np.asarray(self.angles_rad, dtype=float))
-        object.__setattr__(self, "rcs", np.asarray(self.rcs, dtype=complex))
-        if self.angles_rad.ndim != 1 or self.angles_rad.size < 1:
-            raise ValueError("need at least one target angle")
-        _check_angle(self.angles_rad)
-        if self.rcs.ndim != 2 or self.rcs.shape[0] != self.angles_rad.size:
-            raise ValueError("rcs must have one row per target")
-
-    @property
-    def num_targets(self) -> int:
-        return self.angles_rad.size
 
 
 def _check_angle(theta_rad) -> None:
@@ -152,9 +132,13 @@ def check_spacing(range_deg, k: int, min_sep_deg: float) -> None:
         )
 
 
-def draw_scene(range_deg, k: int, min_sep_deg: float, pulses: int, rng) -> TargetScene:
+def draw_scene(
+    range_deg, k: int, min_sep_deg: float, pulses: int, rng
+) -> tuple[np.ndarray, np.ndarray]:
     """Draw K target directions uniformly in ``range_deg`` with a minimum
     pairwise separation, plus a fresh Swerling-II reflectivity matrix.
+    Returns ``(angles_rad, rcs)``: the (K,) angles, ascending, and the
+    complex (K, P) reflectivities.
 
     Uses rejection sampling; raises if the spacing constraint is infeasible
     for the requested range (detected analytically and by a rejection cap).
@@ -187,8 +171,7 @@ def draw_scene(range_deg, k: int, min_sep_deg: float, pulses: int, rng) -> Targe
     # where that loop would leave it, ready for the reflectivity draw.
     rng.bit_generator.state = start
     rng.uniform(lo, hi, size=(tried + hit + 1) * k)
-    rcs = draw_rcs(k, pulses, rng)
-    return TargetScene(angles_rad=np.deg2rad(candidates[hit]), rcs=rcs)
+    return np.deg2rad(candidates[hit]), draw_rcs(k, pulses, rng)
 
 
 def snr_to_noise_var(snr_db: float) -> float:
@@ -196,18 +179,29 @@ def snr_to_noise_var(snr_db: float) -> float:
     return 10.0 ** (-snr_db / 10.0)
 
 
-def synthesize_block(scene: TargetScene, cfg: ArrayConfig, snr_db: float, rng) -> np.ndarray:
+def _scene_arrays(angles_rad, rcs) -> tuple[np.ndarray, np.ndarray]:
+    """(K,) float angles and complex (K, P) reflectivities, or ValueError."""
+    angles_rad, rcs = np.asarray(angles_rad, dtype=float), np.asarray(rcs, dtype=complex)
+    if angles_rad.ndim != 1:
+        raise ValueError(f"target angles must be 1-D, got shape {angles_rad.shape}")
+    if rcs.ndim != 2 or rcs.shape[0] != angles_rad.size:
+        raise ValueError(f"rcs of shape {rcs.shape} needs one row per target angle")
+    return angles_rad, rcs
+
+
+def synthesize_block(angles_rad, rcs, cfg: ArrayConfig, snr_db: float, rng) -> np.ndarray:
     """Noisy virtual-array observation Y = A(theta) X + N for one setup, a
-    complex (M*N, P) array."""
-    if scene.num_targets > cfg.max_targets:
+    complex (M*N, P) array, of the (K,) target angles ``angles_rad`` with
+    the complex (K, P) reflectivities ``rcs``."""
+    angles_rad, rcs = _scene_arrays(angles_rad, rcs)
+    if angles_rad.size > cfg.max_targets:
         raise ValueError(
-            f"{scene.num_targets} targets exceed the identifiability bound "
+            f"{angles_rad.size} targets exceed the identifiability bound "
             f"({cfg.max_targets}) of the {cfg.tx_count}x{cfg.rx_count} setup"
         )
     rng = _as_rng(rng)
-    a = steering_matrix(scene.angles_rad, cfg)
+    y = steering_matrix(angles_rad, cfg) @ rcs
     sigma2 = snr_to_noise_var(snr_db)
-    y = a @ scene.rcs
     if sigma2 > 0:
         # One draw holds the real then the imaginary parts, the stream of two
         # separate draws; adding each part in place gives the same bits as
@@ -220,24 +214,22 @@ def synthesize_block(scene: TargetScene, cfg: ArrayConfig, snr_db: float, rng) -
 
 
 def synthesize_pair(
-    scene: TargetScene,
-    low: ArrayConfig,
-    high: ArrayConfig,
-    snr_db: float,
-    rng,
+    angles_rad, rcs, low: ArrayConfig, high: ArrayConfig, snr_db: float, rng
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Low/high observation pair sharing the same reflectivity matrix.
+    """Low/high observation pair of one scene, the (K,) angles
+    ``angles_rad`` with the complex (K, P) reflectivities ``rcs``.
 
     Noise is drawn independently for the two blocks (they model physically
     distinct receivers).
     """
+    angles_rad, rcs = _scene_arrays(angles_rad, rcs)
     for name, cfg in (("low", low), ("high", high)):
-        if scene.num_targets > cfg.max_targets:
+        if angles_rad.size > cfg.max_targets:
             raise ValueError(
-                f"{scene.num_targets} targets exceed the identifiability bound "
+                f"{angles_rad.size} targets exceed the identifiability bound "
                 f"({cfg.max_targets}) of the {name} array"
             )
     rng = _as_rng(rng)
-    block_low = synthesize_block(scene, low, snr_db, rng)
-    block_high = synthesize_block(scene, high, snr_db, rng)
+    block_low = synthesize_block(angles_rad, rcs, low, snr_db, rng)
+    block_high = synthesize_block(angles_rad, rcs, high, snr_db, rng)
     return block_low, block_high

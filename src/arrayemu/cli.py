@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .arrays import ArrayConfig, TargetScene, draw_rcs, synthesize_block
+from .arrays import ArrayConfig, draw_rcs, synthesize_block
 from .harness import (
     CASES,
     CONFIG_KEYS,
@@ -88,10 +88,8 @@ def run_demo() -> int:
     """Noiseless two-target MUSIC round trip on a 4x4 virtual array."""
     cfg = ArrayConfig(2, 2)
     truth_deg = np.array([-10.0, 20.0])
-    scene = TargetScene(
-        angles_rad=np.deg2rad(truth_deg), rcs=draw_rcs(2, 32, rng=1234)
-    )
-    block = synthesize_block(scene, cfg, snr_db=300.0, rng=0)
+    rcs = draw_rcs(2, 32, rng=1234)
+    block = synthesize_block(np.deg2rad(truth_deg), rcs, cfg, snr_db=300.0, rng=0)
     _, u = hermitian_eig(sample_covariance(block))
     spec = music_spectrum(noise_subspace(u, 2), cfg, (-30.0, 40.0, 0.1))
     angles, _ = pick_peaks(spec, 2)

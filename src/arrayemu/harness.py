@@ -22,7 +22,6 @@ import numpy as np
 
 from .arrays import (
     ArrayConfig,
-    TargetScene,
     check_spacing,
     draw_scene,
     snr_to_noise_var,
@@ -114,8 +113,8 @@ class ExperimentConfig:
         for name in ("angle_ranges_deg", "snr_train_db", "snr_test_db"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        for name in ("snr_train_db", "snr_test_db", "denoise_offsets_db"):
-            bad = [v for v in getattr(self, name) if not np.isfinite(v)]
+        for name in ("angle_ranges_deg", "snr_train_db", "snr_test_db", "denoise_offsets_db"):
+            bad = [v for v in np.ravel(getattr(self, name)) if not np.isfinite(v)]
             if bad:
                 raise ValueError(f"{name} must be finite, got {bad[0]}")
         if self.snapshots < 1:
@@ -469,11 +468,12 @@ class Harness:
     # -- dataset construction ---------------------------------------------
 
     def _draw_trial(self, range_idx: int, snr_db: float, rng):
-        """One random scene and its (low, high) snapshot blocks at ``snr_db``."""
+        """One random scene and its snapshot blocks at ``snr_db``: the tuple
+        (angles_rad, rcs, low block, high block)."""
         cfg = self.cfg
         lims = cfg.angle_ranges_deg[range_idx]
         scene = draw_scene(lims, cfg.num_targets, cfg.min_sep_deg, cfg.snapshots, rng)
-        return scene, *synthesize_pair(scene, cfg.low, cfg.high, snr_db, rng)
+        return *scene, *synthesize_pair(*scene, cfg.low, cfg.high, snr_db, rng)
 
     def _generate_samples(self, range_idx: int, snr_db: float, inputs, targets, rng):
         """Fill the rows of ``inputs`` and ``targets`` with pulse-column sample
@@ -481,7 +481,7 @@ class Harness:
         snapshots = self.cfg.snapshots
         count = len(inputs)
         for done in range(0, count, snapshots):
-            _, bl, bh = self._draw_trial(range_idx, snr_db, rng)
+            *_, bl, bh = self._draw_trial(range_idx, snr_db, rng)
             take = min(snapshots, count - done)
             inputs[done : done + take] = stack_real_imag(bl).T[:take]
             targets[done : done + take] = stack_real_imag(bh).T[:take]
@@ -564,8 +564,7 @@ class Harness:
         low = np.empty((trials, cfg.low.virtual_size, p), dtype=complex)
 
         def draw(q):
-            scene, bl, bh = self._draw_trial(range_idx, snr_db, rng)
-            angles[q], rcs[q], low[q] = scene.angles_rad, scene.rcs, bl
+            angles[q], rcs[q], low[q], bh = self._draw_trial(range_idx, snr_db, rng)
             return bh
 
         high_cov = self._high_covs(draw)
@@ -594,8 +593,9 @@ class Harness:
         # spawn() is stateful: an offset's noise depends on which offsets came first.
         def resynthesize(q):
             rng = np.random.default_rng(bank.offset_seeds[q].spawn(1)[0])
-            scene = TargetScene(bank.angles_rad[q], bank.rcs[q])
-            return synthesize_block(scene, self.cfg.high, snr_db + offset_db, rng)
+            return synthesize_block(
+                bank.angles_rad[q], bank.rcs[q], self.cfg.high, snr_db + offset_db, rng
+            )
 
         return self._high_covs(resynthesize)
 

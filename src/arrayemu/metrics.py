@@ -91,7 +91,11 @@ def crb(angles_rad, x: np.ndarray, sigma2: float, cfg: ArrayConfig) -> np.ndarra
     proj = a @ np.linalg.solve(gram, ah)
     np.subtract(np.eye(mn), proj, out=proj)
     xxh = x @ x.conj().swapaxes(-2, -1)
-    fisher = np.real((ae.conj().swapaxes(-2, -1) @ proj @ ae) * xxh.swapaxes(-2, -1))
+    # A huge d/lambda overflows these products; the check below names it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        fisher = np.real((ae.conj().swapaxes(-2, -1) @ proj @ ae) * xxh.swapaxes(-2, -1))
+    if not np.all(np.isfinite(fisher)):
+        raise ValueError("Fisher information has a non-finite entry")
     if np.any(np.linalg.cond(fisher) > _COND_LIMIT):
         raise ValueError("degenerate scene: Fisher information is singular")
     bound = (sigma2 / 2.0) * np.linalg.inv(fisher)

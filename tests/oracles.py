@@ -213,12 +213,12 @@ def reference_draw_scene(range_deg, k, min_sep_deg, pulses, rng, max_rejections=
     return np.deg2rad(angles), (re + 1j * im) / np.sqrt(2.0)
 
 
-def reference_synthesize_block(scene, cfg, snr_db, rng):
+def reference_synthesize_block(angles_rad, rcs, cfg, snr_db, rng):
     """Y = A X + N with the noise drawn as two separate real and imaginary
     arrays and added as ``scale * (re + 1j*im)``.  Returns the data array."""
     from arrayemu.arrays import steering_matrix
 
-    y = steering_matrix(scene.angles_rad, cfg) @ scene.rcs
+    y = steering_matrix(angles_rad, cfg) @ rcs
     sigma2 = 10.0 ** (-snr_db / 10.0)
     if sigma2 > 0:
         scale = np.sqrt(sigma2 / 2.0)

@@ -85,9 +85,9 @@ def test_01_noiseless_music_exactness():
     for lo, hi in ANGLE_RANGES:
         grid = (lo - 5.0, hi + 5.0, 0.1)
         for _ in range(scenes_per_range):
-            scene = draw_scene((lo, hi), k, 5.0, pulses=20, rng=rng)
-            truth = np.sort(np.rad2deg(scene.angles_rad))
-            bl, bh = synthesize_pair(scene, LOW, HIGH, NOISELESS_DB, rng)
+            angles, rcs = draw_scene((lo, hi), k, 5.0, pulses=20, rng=rng)
+            truth = np.sort(np.rad2deg(angles))
+            bl, bh = synthesize_pair(angles, rcs, LOW, HIGH, NOISELESS_DB, rng)
             err_high = np.max(np.abs(run_music(bh, HIGH, k, grid) - truth))
             err_low = np.max(np.abs(run_music(bl, LOW, k, grid) - truth))
             high_hits += err_high <= 0.1 + 1e-9
@@ -178,11 +178,11 @@ def test_03_gradient_correctness():
 
 def test_04_crb_checks():
     rng = np.random.default_rng(407)
-    scene = draw_scene((0.0, 25.0), 4, 5.0, pulses=150, rng=rng)
+    angles, rcs = draw_scene((0.0, 25.0), 4, 5.0, pulses=150, rng=rng)
 
     # Exact linear scaling in the noise power.
-    r1 = crb(scene.angles_rad, scene.rcs, 0.37, HIGH)
-    r2 = crb(scene.angles_rad, scene.rcs, 2 * 0.37, HIGH)
+    r1 = crb(angles, rcs, 0.37, HIGH)
+    r2 = crb(angles, rcs, 2 * 0.37, HIGH)
     scaling_err = float(np.max(np.abs(r2 - 2 * r1) / np.abs(r2)))
 
     # Steering derivative against central finite differences.
@@ -200,11 +200,11 @@ def test_04_crb_checks():
     grid = (-5.0, 30.0, 0.1)
     estimates, truths, bounds = [], [], []
     for _ in range(trials):
-        scene = draw_scene((0.0, 25.0), k, 5.0, pulses=150, rng=rng)
-        block = synthesize_block(scene, HIGH, snr_db, rng)
+        angles, rcs = draw_scene((0.0, 25.0), k, 5.0, pulses=150, rng=rng)
+        block = synthesize_block(angles, rcs, HIGH, snr_db, rng)
         estimates.append(run_music(block, HIGH, k, grid))
-        truths.append(np.sort(np.rad2deg(scene.angles_rad)))
-        bounds.append(np.mean(np.diagonal(crb(scene.angles_rad, scene.rcs, sigma2, HIGH))))
+        truths.append(np.sort(np.rad2deg(angles)))
+        bounds.append(np.mean(np.diagonal(crb(angles, rcs, sigma2, HIGH))))
     mse = doa_mse(np.vstack(estimates), np.vstack(truths))
     bound = float(np.mean(bounds))
 

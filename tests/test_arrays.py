@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from arrayemu import arrays as arrays_module
 from arrayemu.arrays import (
     ArrayConfig,
-    TargetScene,
     draw_rcs,
     draw_scene,
     snr_to_noise_var,
@@ -50,6 +49,13 @@ def outcome(draw, seed):
     except ValueError:
         result = None
     return result, rng.bit_generator.state
+
+
+class TestArrayConfig:
+    @pytest.mark.parametrize("spacing", [0.0, -0.5, np.inf, np.nan])
+    def test_spacing_not_positive_and_finite_rejected(self, spacing):
+        with pytest.raises(ValueError, match="spacing_wavelengths must be positive and finite"):
+            ArrayConfig(2, 2, spacing)
 
 
 class TestSteering:
@@ -165,11 +171,29 @@ class TestSteeringMatrix:
             steering_matrix(angles, ArrayConfig(2, 3))
 
 
-class TestTargetScene:
+class TestSynthesizeBlock:
+    """A scene that is not (K,) angles with a (K, P) reflectivity matrix is
+    refused before any noise is drawn."""
+
+    cfg = ArrayConfig(2, 3)
+
+    def _refuses(self, angles, rcs, match):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            synthesize_block(angles, rcs, self.cfg, 0.0, rng)
+        assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("bad", [np.pi / 2, -np.pi / 2, np.nan])
-    def test_endfire_or_nan_rejected_when_built(self, bad):
-        with pytest.raises(ValueError, match="outside"):
-            TargetScene(angles_rad=[bad, 0.1], rcs=np.ones((2, 4), dtype=complex))
+    def test_endfire_or_nan_rejected(self, bad):
+        self._refuses([bad, 0.1], np.ones((2, 4), dtype=complex), "outside")
+
+    def test_angles_not_1d_rejected(self):
+        self._refuses([[0.1, 0.2]], np.ones((2, 4), dtype=complex), "1-D")
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 4), (2,), (2, 4, 1)])
+    def test_rcs_without_one_row_per_angle_rejected(self, shape):
+        self._refuses([0.1, 0.2], np.ones(shape, dtype=complex), "one row per target")
 
 
 class TestDrawRcs:
@@ -193,15 +217,15 @@ class TestDrawRcs:
 
 class TestDrawScene:
     def test_table_style_scene(self):
-        scene = draw_scene((0, 25), 4, 5.0, pulses=10, rng=3)
-        angles = np.sort(np.rad2deg(scene.angles_rad))
+        angles_rad, _ = draw_scene((0, 25), 4, 5.0, pulses=10, rng=3)
+        angles = np.sort(np.rad2deg(angles_rad))
         assert angles.size == 4
         assert np.all(np.diff(angles) >= 5.0)
         assert np.all((angles >= 0) & (angles <= 25))
 
     def test_single_target(self):
-        scene = draw_scene((10, 20), 1, 5.0, pulses=1, rng=0)
-        a = np.rad2deg(scene.angles_rad[0])
+        angles_rad, _ = draw_scene((10, 20), 1, 5.0, pulses=1, rng=0)
+        a = np.rad2deg(angles_rad[0])
         assert 10 <= a <= 20
 
     def test_infeasible_spacing_rejected(self):
@@ -220,8 +244,9 @@ class TestDrawScene:
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             scene = draw_scene(range_deg, k, sep, pulses=3, rng=rng)
             ref_angles, ref_rcs = reference_draw_scene(range_deg, k, sep, 3, ref_rng)
-            assert np.array_equal(scene.angles_rad, ref_angles)
-            assert np.array_equal(scene.rcs, ref_rcs)
+            assert isinstance(scene, tuple) and len(scene) == 2
+            assert same_bits(scene[0], ref_angles)
+            assert same_bits(scene[1], ref_rcs)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     # (0, 15.5) with 3.5 deg spacing: about 100 candidates per scene, so the
@@ -238,8 +263,8 @@ class TestDrawScene:
         )
         assert (got is None) == (ref is None), (seed, cap)
         if got is not None:
-            assert same_bits(got.angles_rad, ref[0])
-            assert same_bits(got.rcs, ref[1])
+            assert same_bits(got[0], ref[0])
+            assert same_bits(got[1], ref[1])
         assert got_state == ref_state
         return got is None
 
@@ -268,8 +293,8 @@ class TestDrawScene:
     def test_seed_determinism(self):
         s1 = draw_scene((0, 25), 4, 5.0, pulses=8, rng=42)
         s2 = draw_scene((0, 25), 4, 5.0, pulses=8, rng=42)
-        assert np.array_equal(s1.angles_rad, s2.angles_rad)
-        assert np.array_equal(s1.rcs, s2.rcs)
+        assert np.array_equal(s1[0], s2[0])
+        assert np.array_equal(s1[1], s2[1])
 
 
 class TestSnrToNoiseVar:
@@ -285,39 +310,39 @@ class TestSynthesizePair:
     high = ArrayConfig(2, 3)
 
     def test_noiseless_single_target_column(self):
-        scene = TargetScene(angles_rad=np.array([0.3]), rcs=np.array([[2.0 - 1.0j]]))
-        bl, _ = synthesize_pair(scene, self.low, self.high, snr_db=400.0, rng=0)
-        assert np.allclose(bl[:, 0], scene.rcs[0, 0] * virtual_vector(0.3, self.low), atol=1e-10)
+        rcs = np.array([[2.0 - 1.0j]])
+        bl, _ = synthesize_pair([0.3], rcs, self.low, self.high, snr_db=400.0, rng=0)
+        assert np.allclose(bl[:, 0], rcs[0, 0] * virtual_vector(0.3, self.low), atol=1e-10)
 
     def test_noiseless_columns_in_signal_span(self):
-        scene = draw_scene((0, 25), 2, 5.0, pulses=6, rng=2)
-        bl, bh = synthesize_pair(scene, self.low, self.high, snr_db=400.0, rng=1)
+        angles, rcs = draw_scene((0, 25), 2, 5.0, pulses=6, rng=2)
+        bl, bh = synthesize_pair(angles, rcs, self.low, self.high, snr_db=400.0, rng=1)
         for block, cfg in ((bl, self.low), (bh, self.high)):
-            a = steering_matrix(scene.angles_rad, cfg)
+            a = steering_matrix(angles, cfg)
             proj = a @ np.linalg.lstsq(a, block, rcond=None)[0]
             assert np.linalg.norm(block - proj) < 1e-10
 
     def test_noise_variance_calibration(self):
         # zero-signal path: measure pure noise power at 0 dB
-        scene = TargetScene(angles_rad=np.array([0.0]), rcs=np.zeros((1, 30_000), dtype=complex))
-        bl, _ = synthesize_pair(scene, self.low, self.high, snr_db=0.0, rng=9)
+        rcs = np.zeros((1, 30_000), dtype=complex)
+        bl, _ = synthesize_pair([0.0], rcs, self.low, self.high, snr_db=0.0, rng=9)
         assert np.mean(np.abs(bl) ** 2) == pytest.approx(1.0, abs=0.02)
 
     def test_empirical_snr_matches_request(self):
-        scene = draw_scene((0, 25), 1, 5.0, pulses=20_000, rng=4)
+        angles, rcs = draw_scene((0, 25), 1, 5.0, pulses=20_000, rng=4)
         for snr_db in (-6.0, 0.0, 6.0):
-            bl, _ = synthesize_pair(scene, self.low, self.high, snr_db, rng=8)
-            signal = steering_matrix(scene.angles_rad, self.low) @ scene.rcs
+            bl, _ = synthesize_pair(angles, rcs, self.low, self.high, snr_db, rng=8)
+            signal = steering_matrix(angles, self.low) @ rcs
             noise = bl - signal
             emp = 10 * np.log10(np.mean(np.abs(signal) ** 2) / np.mean(np.abs(noise) ** 2))
             assert emp == pytest.approx(snr_db, abs=0.2)
 
     def test_shared_rcs_reconstruction(self):
         # noiseless high block is a linear image of the low block via A_H A_L^+
-        scene = draw_scene((0, 25), 2, 5.0, pulses=12, rng=6)
-        bl, bh = synthesize_pair(scene, self.low, self.high, snr_db=400.0, rng=5)
-        al = steering_matrix(scene.angles_rad, self.low)
-        ah = steering_matrix(scene.angles_rad, self.high)
+        angles, rcs = draw_scene((0, 25), 2, 5.0, pulses=12, rng=6)
+        bl, bh = synthesize_pair(angles, rcs, self.low, self.high, snr_db=400.0, rng=5)
+        al = steering_matrix(angles, self.low)
+        ah = steering_matrix(angles, self.high)
         recon = ah @ np.linalg.pinv(al) @ bl
         assert np.linalg.norm(recon - bh) < 1e-8
 
@@ -330,21 +355,21 @@ class TestSynthesizePair:
         assert np.linalg.matrix_rank(steering_matrix(angles, cfg)) == bound + 1
 
     def test_identifiability_bound_names_array(self):
-        scene = draw_scene((-60, 60), 3, 5.0, pulses=2, rng=1)
+        angles, rcs = draw_scene((-60, 60), 3, 5.0, pulses=2, rng=1)
         tiny = ArrayConfig(1, 2)  # max_targets = 1
         with pytest.raises(ValueError, match="low"):
-            synthesize_pair(scene, tiny, self.high, snr_db=0.0, rng=0)
+            synthesize_pair(angles, rcs, tiny, self.high, snr_db=0.0, rng=0)
 
     def test_determinism(self):
-        scene = draw_scene((0, 25), 2, 5.0, pulses=5, rng=2)
-        p1 = synthesize_pair(scene, self.low, self.high, 0.0, rng=3)
-        p2 = synthesize_pair(scene, self.low, self.high, 0.0, rng=3)
+        angles, rcs = draw_scene((0, 25), 2, 5.0, pulses=5, rng=2)
+        p1 = synthesize_pair(angles, rcs, self.low, self.high, 0.0, rng=3)
+        p2 = synthesize_pair(angles, rcs, self.low, self.high, 0.0, rng=3)
         assert np.array_equal(p1[0], p2[0])
         assert np.array_equal(p1[1], p2[1])
 
     def test_row_count_invariant(self):
-        scene = draw_scene((0, 25), 2, 5.0, pulses=5, rng=2)
-        bl, bh = synthesize_pair(scene, self.low, self.high, 0.0, rng=3)
+        angles, rcs = draw_scene((0, 25), 2, 5.0, pulses=5, rng=2)
+        bl, bh = synthesize_pair(angles, rcs, self.low, self.high, 0.0, rng=3)
         assert bl.shape[0] == 4
         assert bh.shape[0] == 6
 
@@ -360,27 +385,28 @@ class TestNoiseOracle:
     @pytest.mark.parametrize("snr_db", SNRS)
     def test_block_bit_identical(self, snr_db):
         for seed in range(10):
-            scene = draw_scene((0, 25), 4, 5.0, pulses=9, rng=seed)
+            angles, rcs = draw_scene((0, 25), 4, 5.0, pulses=9, rng=seed)
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            block = synthesize_block(scene, self.high, snr_db, rng)
-            ref = reference_synthesize_block(scene, self.high, snr_db, ref_rng)
+            block = synthesize_block(angles, rcs, self.high, snr_db, rng)
+            ref = reference_synthesize_block(angles, rcs, self.high, snr_db, ref_rng)
             assert same_bits(block, ref)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("snr_db", SNRS)
     def test_pair_bit_identical(self, snr_db):
         for seed in range(10):
-            scene = draw_scene((20, 45), 4, 5.0, pulses=9, rng=seed)
+            angles, rcs = draw_scene((20, 45), 4, 5.0, pulses=9, rng=seed)
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            bl, bh = synthesize_pair(scene, self.low, self.high, snr_db, rng)
-            assert same_bits(bl, reference_synthesize_block(scene, self.low, snr_db, ref_rng))
-            assert same_bits(bh, reference_synthesize_block(scene, self.high, snr_db, ref_rng))
+            bl, bh = synthesize_pair(angles, rcs, self.low, self.high, snr_db, rng)
+            for block, cfg in ((bl, self.low), (bh, self.high)):
+                ref = reference_synthesize_block(angles, rcs, cfg, snr_db, ref_rng)
+                assert same_bits(block, ref)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_noiseless_draws_nothing(self):
-        scene = draw_scene((0, 25), 2, 5.0, pulses=5, rng=1)
+        angles, rcs = draw_scene((0, 25), 2, 5.0, pulses=5, rng=1)
         rng = np.random.default_rng(2)
         before = rng.bit_generator.state
-        block = synthesize_block(scene, self.low, np.inf, rng)
+        block = synthesize_block(angles, rcs, self.low, np.inf, rng)
         assert rng.bit_generator.state == before
-        assert same_bits(block, steering_matrix(scene.angles_rad, self.low) @ scene.rcs)
+        assert same_bits(block, steering_matrix(angles, self.low) @ rcs)

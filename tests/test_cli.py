@@ -48,6 +48,25 @@ def test_unknown_flag_exits_2():
     assert main(["demo", "--bogus-flag"]) == 2
 
 
+def test_set_without_equals_exits_2(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)
+    assert main(["crb", "--config", str(cfg), "--set", "seed"]) == 2
+    assert capsys.readouterr().err == "arrayemu: usage error: --set expects KEY=VALUE, got 'seed'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_set_alone_configures_a_verb_without_a_config_file(tmp_path):
+    """Every line of the tiny config passed as a --set item, with no
+    --config, writes the crb.csv the config file writes."""
+    cfg = write_tiny_config(tmp_path)
+    items = [line.replace(" = ", "=") for line in cfg.read_text().splitlines()]
+    out = tmp_path / "out" / "results" / "crb.csv"
+    assert main(["crb", *(f for item in items for f in ("--set", item))]) == 0
+    from_set = out.read_bytes()
+    assert main(["crb", "--config", str(cfg)]) == 0
+    assert out.read_bytes() == from_set
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense_key = 1\n")
@@ -97,6 +116,11 @@ def test_config_without_a_test_trial_exits_1(tmp_path, capsys, override):
         "grid_step_deg=nan",
         "min_sep_deg=nan",
         "min_sep_deg=-3",
+        "angle_ranges_deg=-inf:25",
+        "angle_ranges_deg=0:inf",
+        "angle_ranges_deg=nan:25",
+        "spacing_wavelengths=inf",
+        "spacing_wavelengths=nan",
     ],
 )
 def test_config_that_cannot_train_or_sweep_exits_1_before_writing(tmp_path, capsys, override):

@@ -223,6 +223,8 @@ class TestConfig:
                 dict(grid_step_deg=100.0),
                 "spectrum grid of range_0_25 has fewer points \\(1\\) than num_targets \\(2\\)",
             ),
+            (dict(angle_ranges_deg=[(-np.inf, 25.0)]), "angle_ranges_deg must be finite, got -inf"),
+            (dict(angle_ranges_deg=[(0.0, 25.0), (0.0, np.nan)]), "angle_ranges_deg must be finite"),
         ],
     )
     def test_bad_spectrum_grid_rejected(self, tmp_path, kw, match):
@@ -254,6 +256,16 @@ class TestConfig:
         assert cfg.high == ArrayConfig(2, 3)
         assert cfg.snr_test_db == [-5.0, 0.0, 5.0]
         assert cfg.train.epochs == 5
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("seed = 1\nnum_targets 2\n")
+        with pytest.raises(ValueError, match=f"{path}:2: expected key=value, got 'num_targets 2'"):
+            parse_config_file(path)
+
+    def test_unknown_output_activation_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown output_activation 'tanh'"):
+            tiny_config(tmp_path, output_activation="tanh")
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "exp.cfg"
@@ -301,6 +313,15 @@ class TestDatasetFiles:
         path = tmp_path / "bad.dset"
         path.write_bytes(b"garbage bytes here")
         with pytest.raises(ValueError):
+            read_dataset(path)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = tmp_path / "v2.dset"
+        write_small_dataset(path)
+        data = bytearray(path.read_bytes())
+        data[len(DATASET_MAGIC) : len(DATASET_MAGIC) + 4] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="unsupported dataset version 2"):
             read_dataset(path)
 
     @pytest.mark.parametrize("keep", [len(DATASET_MAGIC) + 2, len(DATASET_MAGIC) + 20 + 4, -1])
@@ -630,9 +651,9 @@ def recorded_bank(monkeypatch, cfg, snr_db):
     the "angles_rad" and "rcs" stacks of the scenes synthesize_pair was given."""
     scenes, pairs, real = [], [], harness_module.synthesize_pair
 
-    def recording(scene, *args, **kwargs):
-        scenes.append(scene)
-        pairs.append(real(scene, *args, **kwargs))
+    def recording(angles_rad, rcs, *args, **kwargs):
+        scenes.append((angles_rad, rcs))
+        pairs.append(real(angles_rad, rcs, *args, **kwargs))
         return pairs[-1]
 
     monkeypatch.setattr(harness_module, "synthesize_pair", recording)
@@ -640,7 +661,8 @@ def recorded_bank(monkeypatch, cfg, snr_db):
     bank = h.test_bank(0, snr_db)
     monkeypatch.setattr(harness_module, "synthesize_pair", real)
     blocks = {side: np.stack([p[i] for p in pairs]) for i, side in enumerate(("low", "high"))}
-    blocks.update((f, np.stack([getattr(s, f) for s in scenes])) for f in ("angles_rad", "rcs"))
+    angles, rcs = zip(*scenes)
+    blocks.update(angles_rad=np.stack(angles), rcs=np.stack(rcs))
     return h, bank, blocks
 
 
@@ -706,6 +728,18 @@ class TestResultsCsv:
         path = tmp_path / "empty.csv"
         write_results(SweepResult(), path)
         assert path.read_text().count("\n") == 1
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "other.csv"
+        write_rows([{"a": 1.0}], path)
+        with pytest.raises(ValueError, match="unexpected result header \\['a'\\]"):
+            read_results(path)
+
+    def test_empty_table_without_header_not_written(self, tmp_path):
+        path = tmp_path / "none.csv"
+        with pytest.raises(ValueError, match="cannot infer a header from an empty table"):
+            write_rows([], path)
+        assert not path.exists()
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "res.csv"

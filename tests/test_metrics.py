@@ -55,9 +55,9 @@ class TestCrb:
     cfg = ArrayConfig(2, 2)
 
     def test_sigma2_scaling_exact(self):
-        scene = draw_scene((0, 25), 2, 5.0, pulses=10, rng=0)
-        r1 = crb(scene.angles_rad, scene.rcs, 0.5, self.cfg)
-        r2 = crb(scene.angles_rad, scene.rcs, 1.0, self.cfg)
+        angles, rcs = draw_scene((0, 25), 2, 5.0, pulses=10, rng=0)
+        r1 = crb(angles, rcs, 0.5, self.cfg)
+        r2 = crb(angles, rcs, 1.0, self.cfg)
         assert np.allclose(r2, 2 * r1, rtol=1e-12)
 
     def test_single_target_hand_formula(self):
@@ -74,8 +74,8 @@ class TestCrb:
 
     def test_diagonal_positive_for_distinct_scenes(self):
         for seed in range(5):
-            scene = draw_scene((-40, 40), 2, 5.0, pulses=8, rng=seed)
-            bound = crb(scene.angles_rad, scene.rcs, 10 ** (1.6), self.cfg)
+            angles, rcs = draw_scene((-40, 40), 2, 5.0, pulses=8, rng=seed)
+            bound = crb(angles, rcs, 10 ** (1.6), self.cfg)
             assert np.all(np.diagonal(bound) > 0)
 
     def test_nonpositive_noise_rejected(self):
@@ -85,6 +85,11 @@ class TestCrb:
     def test_rcs_row_mismatch_rejected(self):
         with pytest.raises(ValueError):
             crb([0.1, 0.5], np.ones((1, 3)), 1.0, self.cfg)
+
+    def test_non_finite_fisher_information_rejected(self):
+        # d/lambda = 1e200 overflows the derivative Gram product to inf.
+        with pytest.raises(ValueError, match="Fisher information"):
+            crb([0.1, 0.3], draw_rcs(2, 5, rng=1), 1.0, ArrayConfig(2, 3, 1e200))
 
     @pytest.mark.parametrize(
         "cfg",
@@ -109,7 +114,7 @@ class TestCrbStack:
     def scenes(count, k, seed):
         rng = np.random.default_rng(seed)
         scenes = [draw_scene((20, 45), k, 5.0, pulses=30, rng=rng) for _ in range(count)]
-        return scenes, np.stack([s.angles_rad for s in scenes]), np.stack([s.rcs for s in scenes])
+        return scenes, np.stack([a for a, _ in scenes]), np.stack([x for _, x in scenes])
 
     @pytest.mark.parametrize("cfg", [ArrayConfig(4, 4), ArrayConfig(8, 8)])
     def test_bit_identical_to_per_scene_calls(self, cfg):
@@ -120,7 +125,7 @@ class TestCrbStack:
             diagonals = np.diagonal(stacked, axis1=-2, axis2=-1)
             assert diagonals.shape == (7, 4)
             for q, scene in enumerate(scenes):
-                single = crb(scene.angles_rad, scene.rcs, sigma2, cfg)
+                single = crb(*scene, sigma2, cfg)
                 assert single.shape == (4, 4)
                 assert stacked[q].tobytes() == single.tobytes()
                 assert diagonals[q].tobytes() == np.diagonal(single).tobytes()

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from arrayemu.arrays import (
     ArrayConfig,
-    TargetScene,
     draw_rcs,
     draw_scene,
     steering_matrix,
@@ -33,15 +32,14 @@ class TestSampleCovariance:
 
     def test_noiseless_single_target_rank_one(self):
         cfg = ArrayConfig(2, 2)
-        scene = TargetScene(angles_rad=np.array([0.2]), rcs=draw_rcs(1, 8, rng=0))
-        block = synthesize_block(scene, cfg, NOISELESS, rng=1)
+        block = synthesize_block([0.2], draw_rcs(1, 8, rng=0), cfg, NOISELESS, rng=1)
         w, _ = hermitian_eig(sample_covariance(block))
         assert w[1] / w[0] < 1e-10
 
     def test_white_noise_converges_to_sigma2_identity(self):
         cfg = ArrayConfig(2, 2)
-        scene = TargetScene(angles_rad=np.array([0.0]), rcs=np.zeros((1, 100_000), dtype=complex))
-        block = synthesize_block(scene, cfg, snr_db=0.0, rng=3)
+        rcs = np.zeros((1, 100_000), dtype=complex)
+        block = synthesize_block([0.0], rcs, cfg, snr_db=0.0, rng=3)
         r = sample_covariance(block)
         off = r - np.diag(np.diag(r))
         assert np.max(np.abs(off)) < 0.05
@@ -128,10 +126,10 @@ class TestNoiseSubspace:
 
     def test_orthogonal_to_signal_steering(self):
         cfg = ArrayConfig(2, 3)
-        scene = draw_scene((0, 25), 2, 5.0, pulses=16, rng=5)
-        block = synthesize_block(scene, cfg, NOISELESS, rng=2)
+        angles, rcs = draw_scene((0, 25), 2, 5.0, pulses=16, rng=5)
+        block = synthesize_block(angles, rcs, cfg, NOISELESS, rng=2)
         un = noise_subspace(hermitian_eig(sample_covariance(block))[1], 2)
-        for theta in scene.angles_rad:
+        for theta in angles:
             v = steering_matrix([theta], cfg)[:, 0]
             assert np.max(np.abs(un.conj().T @ v)) < 1e-8
 
@@ -139,8 +137,7 @@ class TestNoiseSubspace:
 class TestMusicSpectrum:
     def test_noiseless_peak_at_target(self):
         cfg = ArrayConfig(2, 3)
-        scene = TargetScene(angles_rad=np.deg2rad([10.0]), rcs=draw_rcs(1, 8, rng=0))
-        block = synthesize_block(scene, cfg, NOISELESS, rng=1)
+        block = synthesize_block(np.deg2rad([10.0]), draw_rcs(1, 8, rng=0), cfg, NOISELESS, rng=1)
         un = noise_subspace(hermitian_eig(sample_covariance(block))[1], 1)
         spec = music_spectrum(un, cfg, (0.0, 20.0, 0.1))
         assert spec.grid_deg[np.argmax(spec.values)] == pytest.approx(10.0, abs=1e-9)
@@ -150,8 +147,7 @@ class TestMusicSpectrum:
 
     def test_clamped_peak_scale_at_truth(self):
         cfg = ArrayConfig(2, 3)
-        scene = TargetScene(angles_rad=np.deg2rad([10.0]), rcs=draw_rcs(1, 8, rng=0))
-        block = synthesize_block(scene, cfg, NOISELESS, rng=1)
+        block = synthesize_block(np.deg2rad([10.0]), draw_rcs(1, 8, rng=0), cfg, NOISELESS, rng=1)
         un = noise_subspace(hermitian_eig(sample_covariance(block))[1], 1)
         spec = music_spectrum(un, cfg, (10.0, 10.0, 1.0))  # single point at truth
         assert spec.values[0] > 1e8  # denominator below 1e-8, clamped at 1e-12
@@ -167,7 +163,7 @@ class TestMusicSpectrum:
     @pytest.mark.parametrize("cfg", [ArrayConfig(2, 3), ArrayConfig(8, 8, 0.37)])
     def test_prebuilt_steering_matrix_changes_nothing(self, cfg):
         un = noise_subspace(hermitian_eig(sample_covariance(
-            synthesize_block(draw_scene((0, 25), 2, 5.0, 40, rng=3), cfg, 0.0, rng=4)
+            synthesize_block(*draw_scene((0, 25), 2, 5.0, 40, rng=3), cfg, 0.0, rng=4)
         ))[1], 2)
         grid = (-5.0, 30.0, 0.1)
         steering = steering_matrix(np.deg2rad(grid_angles(grid)), cfg)
@@ -240,13 +236,13 @@ class TestPickPeaks:
 
     def test_noiseless_four_targets_end_to_end(self):
         cfg = ArrayConfig(3, 3)
-        scene = draw_scene((20, 45), 4, 5.0, pulses=16, rng=12)
-        block = synthesize_block(scene, cfg, NOISELESS, rng=3)
+        truth_rad, rcs = draw_scene((20, 45), 4, 5.0, pulses=16, rng=12)
+        block = synthesize_block(truth_rad, rcs, cfg, NOISELESS, rng=3)
         un = noise_subspace(hermitian_eig(sample_covariance(block))[1], 4)
         spec = music_spectrum(un, cfg, (15.0, 50.0, 0.1))
         angles, degenerate = pick_peaks(spec, 4)
         assert not degenerate
-        assert np.max(np.abs(angles - np.sort(np.rad2deg(scene.angles_rad)))) < 0.05 + 1e-9
+        assert np.max(np.abs(angles - np.sort(np.rad2deg(truth_rad)))) < 0.05 + 1e-9
 
 
 class TestDoaMse:

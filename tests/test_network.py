@@ -304,6 +304,33 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(np.ones((2, 10)), np.ones((2, 10)), TrainConfig(batch_size=120), 0, "linear")
 
+    def test_unequal_sample_counts_rejected(self):
+        with pytest.raises(ValueError, match="equal samples"):
+            train(np.ones((2, 10)), np.ones((2, 11)), TrainConfig(batch_size=5), 0, "linear")
+
+    def test_split_leaving_no_validation_sample_rejected(self):
+        # round(0.1 * 3) = 0 validation samples.
+        cfg = TrainConfig(batch_size=1, split=(0.9, 0.1, 0.0))
+        with pytest.raises(ValueError, match="empty training or validation part"):
+            train(np.ones((2, 3)), np.ones((2, 3)), cfg, 0, "linear")
+
+
+class TestModelAndTrainConfig:
+    def test_non_finite_weight_rejected(self):
+        model = init_model([2, 3, 2], "linear", rng=0)
+        model.weights[1][0, 0] = np.nan
+        with pytest.raises(ValueError, match="layer 1 has non-finite parameters"):
+            MlpModel(model.layer_dims, model.weights, model.biases)
+
+    @pytest.mark.parametrize("kw", [dict(epochs=0), dict(batch_size=0)])
+    def test_no_epoch_or_empty_batch_rejected(self, kw):
+        with pytest.raises(ValueError, match="epochs and batch_size must be >= 1"):
+            TrainConfig(**kw)
+
+    def test_split_not_summing_to_one_rejected(self):
+        with pytest.raises(ValueError, match="split fractions must sum to 1"):
+            TrainConfig(split=(0.5, 0.25, 0.0))
+
 
 class TestPredict:
     def _trained_identity_model(self):
@@ -337,6 +364,16 @@ class TestPredict:
             with pytest.raises(ValueError, match="model expects 2 rows"):
                 predict(model, np.ones(shape, dtype=complex), ArrayConfig(1, 2))
 
+    def test_model_without_normalization_rejected(self):
+        model = init_model([4, 8, 4], "linear", rng=0)
+        with pytest.raises(ValueError, match="no normalization statistics"):
+            predict(model, np.ones((2, 3), dtype=complex), ArrayConfig(1, 2))
+
+    def test_output_not_fitting_the_high_array_rejected(self):
+        model = self._trained_identity_model()  # 4 outputs: a 2-element array
+        with pytest.raises(ValueError, match="does not match the requested high array"):
+            predict(model, np.ones((2, 3), dtype=complex), ArrayConfig(1, 3))
+
 
 class TestSerialization:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -356,6 +393,20 @@ class TestSerialization:
             predict(model, data, ArrayConfig(1, 2)),
             predict(loaded, data, ArrayConfig(1, 2)),
         )
+
+    def test_model_without_normalization_not_saved(self, tmp_path):
+        path = tmp_path / "raw.mlp"
+        with pytest.raises(ValueError, match="without normalization statistics"):
+            save_model(init_model([2, 3, 2], "linear", rng=0), path)
+        assert not path.exists()
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = tmp_path / "v9.mlp"
+        data = bytearray(self.saved_model(path))
+        data[len(MODEL_MAGIC) : len(MODEL_MAGIC) + 4] = (9).to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="unsupported model format version 9"):
+            load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.mlp"

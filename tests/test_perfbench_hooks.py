@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from arrayemu import music
-from arrayemu.arrays import ArrayConfig, TargetScene, draw_rcs, synthesize_block
+from arrayemu.arrays import ArrayConfig, draw_rcs, synthesize_block
 from arrayemu.harness import Harness
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -50,8 +50,8 @@ def test_tracer_counts_what_music_returns(spans):
     ``pick_peaks`` returns; a changed return type would break the traced
     benchmark run without failing any other test."""
     cfg = ArrayConfig(2, 3)
-    scene = TargetScene(angles_rad=np.deg2rad([10.0]), rcs=draw_rcs(1, 8, rng=0))
-    _, u = music.hermitian_eig(music.sample_covariance(synthesize_block(scene, cfg, 300.0, rng=1)))
+    block = synthesize_block(np.deg2rad([10.0]), draw_rcs(1, 8, rng=0), cfg, 300.0, rng=1)
+    _, u = music.hermitian_eig(music.sample_covariance(block))
     grid = (0.0, 20.0, 0.1)
     tracer = spans.Tracer()
     tracer.install()
