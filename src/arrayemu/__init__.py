@@ -21,7 +21,6 @@ from .music import (
 from .metrics import cov_error, crb, steering_derivative
 from .network import (
     MlpModel,
-    OptimizerState,
     TrainConfig,
     TrainingError,
     adam_step,

@@ -77,6 +77,13 @@ def _default_snr_grid():
     return [float(s) for s in range(-16, 12, 2)]
 
 
+def _snr_tag(snr_db: float) -> int:
+    """The 32-bit tag that seeds the test bank at ``snr_db``.  hash() of a
+    float is stable across processes, but some distinct SNRs share a tag
+    (-1 and -2 dB, 0 and 0.5 dB), which ExperimentConfig refuses."""
+    return hash(float(snr_db)) & 0xFFFFFFFF
+
+
 @dataclass
 class ExperimentConfig:
     """Full experiment description.
@@ -176,6 +183,13 @@ class ExperimentConfig:
             dupes = sorted({label for label in labels if labels.count(label) > 1})
             if dupes:
                 raise ValueError(f"{key} gives duplicate {what}: {dupes}")
+        tagged: dict[int, float] = {}
+        for snr in map(float, self.snr_test_db):
+            other = tagged.setdefault(_snr_tag(snr), snr)
+            if other != snr:
+                raise ValueError(
+                    f"snr_test_db entries {other:g} and {snr:g} dB would seed the same test bank"
+                )
 
     @property
     def trials(self) -> int:
@@ -554,32 +568,19 @@ class Harness:
     @_memo
     def test_bank(self, range_idx: int, snr_db: float) -> _Bank:
         cfg = self.cfg
-        # hash() of a float is stable across processes for numeric types
-        snr_idx = hash(float(snr_db)) & 0xFFFFFFFF
-        ss = self._seed(3, range_idx, snr_idx)
+        ss = self._seed(3, range_idx, _snr_tag(snr_db))
         rng = np.random.default_rng(ss)
         offset_seeds = ss.spawn(cfg.trials)
-        trials, k, p = cfg.trials, cfg.num_targets, cfg.snapshots
+        trials, k, p, mn = cfg.trials, cfg.num_targets, cfg.snapshots, cfg.high.virtual_size
         angles, rcs = np.empty((trials, k)), np.empty((trials, k, p), dtype=complex)
         low = np.empty((trials, cfg.low.virtual_size, p), dtype=complex)
-
-        def draw(q):
+        # Each high block becomes its covariance at once, so no (Q, MN, P)
+        # stack is ever built.
+        high_cov = np.empty((trials, mn, mn), dtype=complex)
+        for q in range(trials):
             angles[q], rcs[q], low[q], bh = self._draw_trial(range_idx, snr_db, rng)
-            return bh
-
-        high_cov = self._high_covs(draw)
+            high_cov[q] = sample_covariance(bh)
         return _Bank(angles, rcs, low, high_cov, offset_seeds)
-
-    def _high_covs(self, block_of) -> np.ndarray:
-        """Complex (Q, MN, MN) array of the sample covariances of the
-        high-array blocks ``block_of(q)`` returns for q = 0, ..., Q-1 in order;
-        each block is dropped once its covariance is formed, so no (Q, MN, P)
-        stack is ever built."""
-        mn = self.cfg.high.virtual_size
-        covs = np.empty((self.cfg.trials, mn, mn), dtype=complex)
-        for q in range(self.cfg.trials):
-            covs[q] = sample_covariance(block_of(q))
-        return covs
 
     @_memo
     def _ref_cov(self, range_idx: int, snr_db: float, offset_db: float) -> np.ndarray:
@@ -589,15 +590,14 @@ class Harness:
         bank = self.test_bank(range_idx, snr_db)
         if offset_db == 0.0:
             return bank.high_cov
-
-        # spawn() is stateful: an offset's noise depends on which offsets came first.
-        def resynthesize(q):
-            rng = np.random.default_rng(bank.offset_seeds[q].spawn(1)[0])
-            return synthesize_block(
+        covs = np.empty_like(bank.high_cov)
+        for q, seeds in enumerate(bank.offset_seeds):
+            # spawn() is stateful: an offset's noise depends on which offsets came first.
+            rng = np.random.default_rng(seeds.spawn(1)[0])
+            covs[q] = sample_covariance(synthesize_block(
                 bank.angles_rad[q], bank.rcs[q], self.cfg.high, snr_db + offset_db, rng
-            )
-
-        return self._high_covs(resynthesize)
+            ))
+        return covs
 
     # -- evaluation --------------------------------------------------------
 
@@ -640,10 +640,13 @@ class Harness:
         """Covariance stack of the emulated high-array blocks of every trial
         of a test bank; the blocks themselves are not kept."""
         model = self.ensure_model(range_idx, set_id)
-        low = self.test_bank(range_idx, snr_db).low
+        bank = self.test_bank(range_idx, snr_db)
+        covs = np.empty_like(bank.high_cov)
         # One predict per trial: a single forward pass over every column of
         # the bank cost more CPU and memory.
-        return self._high_covs(lambda q: predict(model, low[q], self.cfg.high))
+        for q, block in enumerate(bank.low):
+            covs[q] = sample_covariance(predict(model, block, self.cfg.high))
+        return covs
 
     @_memo
     def eval_model(self, range_idx: int, set_id: str, snr_db: float) -> dict:

@@ -23,7 +23,6 @@ from .arrays import ArrayConfig, _as_rng
 __all__ = [
     "MlpModel",
     "TrainConfig",
-    "OptimizerState",
     "TrainingError",
     "stack_real_imag",
     "unstack_real_imag",
@@ -79,6 +78,10 @@ class MlpModel:
                 raise ValueError(f"layer {i} parameter shapes inconsistent with dims")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {i} has non-finite parameters")
+        for name in ("norm_in", "norm_out"):
+            stats = getattr(self, name)
+            if stats is not None and not np.all(np.isfinite(stats)):
+                raise ValueError(f"{name} has non-finite normalization statistics")
 
     @property
     def input_dim(self) -> int:
@@ -112,19 +115,6 @@ class TrainConfig:
                 "split needs positive training and validation fractions "
                 "and a non-negative held-out fraction"
             )
-
-
-@dataclass
-class OptimizerState:
-    """Adam first/second-moment accumulators of one parameter array."""
-
-    m: np.ndarray
-    v: np.ndarray
-    step: int = 0
-
-    @classmethod
-    def zeros_like(cls, param: np.ndarray) -> "OptimizerState":
-        return cls(m=np.zeros_like(param), v=np.zeros_like(param))
 
 
 def stack_real_imag(block: np.ndarray) -> np.ndarray:
@@ -228,20 +218,20 @@ def mlp_backward(model: MlpModel, x: np.ndarray, target: np.ndarray):
     return grad_w, grad_b, loss
 
 
-def adam_step(state: OptimizerState, param: np.ndarray, grad: np.ndarray) -> None:
-    """One Adam update with bias correction of ``state`` and ``param``, both
-    in place, with the ``ADAM_*`` constants."""
+def adam_step(
+    param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray, step: int
+) -> None:
+    """Adam update number ``step`` (counting from 1), with bias correction
+    and the ``ADAM_*`` constants, applied in place to ``param`` and its
+    first and second moments ``m`` and ``v``."""
     if not np.all(np.isfinite(grad)):
         raise TrainingError("non-finite gradient passed to the optimizer")
-    state.step += 1
-    t = state.step
-    m, v = state.m, state.v
     m *= ADAM_BETA1
     m += (1 - ADAM_BETA1) * grad
     v *= ADAM_BETA2
     v += (1 - ADAM_BETA2) * grad**2
-    m_hat = m / (1 - ADAM_BETA1**t)
-    v_hat = v / (1 - ADAM_BETA2**t)
+    m_hat = m / (1 - ADAM_BETA1**step)
+    v_hat = v / (1 - ADAM_BETA2**step)
     param -= ADAM_LR * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
@@ -317,6 +307,11 @@ def train(
     n = x.shape[1]
     if n < cfg.batch_size:
         raise ValueError(f"dataset size {n} smaller than batch size {cfg.batch_size}")
+    # min and max are NaN or infinite exactly when some entry is, and unlike
+    # np.isfinite they allocate no temporary of the data's size.
+    for name, data in (("inputs", x), ("targets", t)):
+        if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+            raise ValueError(f"{name} hold a non-finite value")
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
@@ -339,7 +334,7 @@ def train(
     model.norm_out = norm_out
 
     flat = _flat_params(model)
-    state = OptimizerState.zeros_like(flat)
+    m, v, step = np.zeros_like(flat), np.zeros_like(flat), 0
     history = {"train": [], "val": []}
     best_val = np.inf
     best = flat.copy()
@@ -349,12 +344,12 @@ def train(
         perm = rng.permutation(n_tr)
         losses = []
         for start in range(0, n_tr, cfg.batch_size):
+            step += 1
             batch = perm[start : start + cfg.batch_size]
             gw, gb, loss = mlp_backward(model, x_tr[:, batch], t_tr[:, batch])
             if not np.isfinite(loss):
-                raise TrainingError(f"loss became non-finite at step {state.step}")
-            grad = np.concatenate([g.ravel() for g in gw + gb])
-            adam_step(state, flat, grad)
+                raise TrainingError(f"loss became non-finite at step {step}")
+            adam_step(flat, np.concatenate([g.ravel() for g in gw + gb]), m, v, step)
             losses.append(loss)
         val_loss = _mse(model, x_val, t_val)
         history["train"].append(float(np.mean(losses)))

@@ -57,6 +57,11 @@ class TestArrayConfig:
         with pytest.raises(ValueError, match="spacing_wavelengths must be positive and finite"):
             ArrayConfig(2, 2, spacing)
 
+    @pytest.mark.parametrize("tx, rx", [(0, 2), (2, 0)])
+    def test_no_antenna_rejected(self, tx, rx):
+        with pytest.raises(ValueError, match="antenna counts must be >= 1"):
+            ArrayConfig(tx, rx)
+
 
 class TestSteering:
     def test_tx_broadside_is_all_ones(self):
@@ -195,6 +200,11 @@ class TestSynthesizeBlock:
     def test_rcs_without_one_row_per_angle_rejected(self, shape):
         self._refuses([0.1, 0.2], np.ones(shape, dtype=complex), "one row per target")
 
+    def test_more_targets_than_the_bound_rejected(self):
+        # A 2x3 setup resolves at most 3 targets.
+        match = "4 targets exceed the identifiability bound \\(3\\)"
+        self._refuses([-0.6, -0.2, 0.2, 0.6], np.ones((4, 4), dtype=complex), match)
+
 
 class TestDrawRcs:
     def test_mean_power_is_unity(self):
@@ -231,6 +241,10 @@ class TestDrawScene:
     def test_infeasible_spacing_rejected(self):
         with pytest.raises(ValueError):
             draw_scene((0, 14), 4, 5.0, pulses=1, rng=0)
+
+    def test_no_target_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            draw_scene((0, 25), 0, 5.0, pulses=1, rng=0)
 
     # (0, 15.5) with 3.5 deg spacing accepts about 1% of candidates.
     @pytest.mark.parametrize(

@@ -130,6 +130,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="duplicate training set ids: \\['snr_1'\\]"):
             tiny_config(tmp_path, snr_train_db=[1.0, 1.0000001, 5.0])
 
+    def test_default_test_snrs_seed_distinct_banks(self):
+        snrs = ExperimentConfig().snr_test_db
+        assert len({harness_module._snr_tag(s) for s in snrs}) == len(snrs)
+
     @pytest.mark.parametrize(
         "kw, match",
         [
@@ -141,11 +145,21 @@ class TestConfig:
                 dict(denoise_offsets_db=[8.0, 8.0000001]),
                 "denoise_offsets_db gives duplicate column labels: \\['r_offset_8'\\]",
             ),
+            (
+                dict(snr_test_db=[5.0, -2.0, -1.0]),
+                "snr_test_db entries -2 and -1 dB would seed the same test bank",
+            ),
+            (
+                dict(snr_test_db=[0.0, 5.0, 0.5]),
+                "snr_test_db entries 0 and 0.5 dB would seed the same test bank",
+            ),
         ],
     )
     def test_colliding_labels_rejected(self, tmp_path, kw, match):
         """Two ranges with one tag would share every dataset and model file,
-        and two offsets with one label would share one denoise.csv column."""
+        two offsets with one label would share one denoise.csv column, and
+        two test SNRs with one bank-seed tag (a 32-bit tag of hash(snr))
+        would share every scene and noise draw."""
         with pytest.raises(ValueError, match=match):
             tiny_config(tmp_path, **kw)
 
@@ -308,6 +322,20 @@ class TestDatasetFiles:
         assert np.array_equal(l2, labels)
         assert np.array_equal(x2, x)
         assert np.array_equal(t2, t)
+
+    @pytest.mark.parametrize(
+        "labels, x, t",
+        [
+            (np.zeros(3, np.float32), np.ones((2, 4)), np.ones((2, 6))),
+            (np.zeros(2, np.float32), np.ones((2, 4)), np.ones((3, 6))),
+        ],
+        ids=["labels", "targets"],
+    )
+    def test_inconsistent_shapes_rejected(self, tmp_path, labels, x, t):
+        path = tmp_path / "bad.dset"
+        with pytest.raises(ValueError, match="inconsistent dataset block shapes"):
+            write_dataset(path, labels, x, t)
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.dset"

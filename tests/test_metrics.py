@@ -78,6 +78,14 @@ class TestCrb:
             bound = crb(angles, rcs, 10 ** (1.6), self.cfg)
             assert np.all(np.diagonal(bound) > 0)
 
+    def test_silent_target_rejected(self):
+        """A target whose reflectivity is zero in every pulse carries no
+        angle information, so the Fisher information is singular."""
+        rcs = draw_rcs(2, 5, rng=1)
+        rcs[1] = 0.0
+        with pytest.raises(ValueError, match="Fisher information is singular"):
+            crb([0.1, 0.5], rcs, 1.0, self.cfg)
+
     def test_nonpositive_noise_rejected(self):
         with pytest.raises(ValueError):
             crb([0.1], np.ones((1, 3)), 0.0, self.cfg)

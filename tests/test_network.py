@@ -5,7 +5,6 @@ from arrayemu.arrays import ArrayConfig
 from arrayemu.network import (
     MODEL_MAGIC,
     MlpModel,
-    OptimizerState,
     TrainConfig,
     adam_step,
     init_model,
@@ -77,6 +76,10 @@ class TestMinMax:
     def test_out_of_range_passes_through(self):
         stats = np.array([[0.0, 1.0]])
         assert minmax_apply(np.array([[2.5]]), stats)[0, 0] == 2.5
+
+    def test_one_dimensional_data_rejected(self):
+        with pytest.raises(ValueError, match="\\(features, samples\\) matrix"):
+            minmax_fit(np.ones(4))
 
 
 class TestForward:
@@ -190,20 +193,19 @@ class TestBackward:
 class TestAdam:
     def test_first_step_bias_correction(self):
         p = np.zeros(1)
-        adam_step(OptimizerState.zeros_like(p), p, np.ones(1))
+        adam_step(p, np.ones(1), np.zeros(1), np.zeros(1), 1)
         assert p[0] == pytest.approx(-1e-3 / (1 + 1e-8), rel=1e-12)
 
     def test_zero_gradient_no_motion(self):
         p = np.array([1.0, -2.0])
-        adam_step(OptimizerState.zeros_like(p), p, np.zeros(2))
+        adam_step(p, np.zeros(2), np.zeros(2), np.zeros(2), 1)
         assert np.array_equal(p, [1.0, -2.0])
 
     def test_two_steps_match_hand_recursion(self):
         lr, b1, b2, eps, g = 1e-3, 0.9, 0.999, 1e-8, 0.5
-        p = np.zeros(1)
-        state = OptimizerState.zeros_like(p)
-        for _ in range(2):
-            adam_step(state, p, np.full(1, g))
+        p, m, v = np.zeros(1), np.zeros(1), np.zeros(1)
+        for step in (1, 2):
+            adam_step(p, np.full(1, g), m, v, step)
         # hand recursion
         m = v = 0.0
         ph = 0.0
@@ -214,21 +216,17 @@ class TestAdam:
         assert p[0] == pytest.approx(ph, abs=1e-12)
 
     def test_updates_in_place(self):
-        p = np.array([1.0, -2.0])
-        state = OptimizerState.zeros_like(p)
-        m, v = state.m, state.v
-        assert adam_step(state, p, np.ones(2)) is None
-        assert state.m is m and state.v is v and state.step == 1
+        p, m, v = np.array([1.0, -2.0]), np.zeros(2), np.zeros(2)
+        assert adam_step(p, np.ones(2), m, v, 1) is None
         assert np.all(p < [1.0, -2.0]) and np.all(m > 0) and np.all(v > 0)
 
     def test_nonfinite_gradient_raises(self):
         from arrayemu.network import TrainingError
 
-        p = np.zeros(1)
-        state = OptimizerState.zeros_like(p)
+        p, m, v = np.zeros(1), np.full(1, 0.5), np.full(1, 0.25)
         with pytest.raises(TrainingError):
-            adam_step(state, p, np.full(1, np.nan))
-        assert state.step == 0 and p[0] == 0.0
+            adam_step(p, np.full(1, np.nan), m, v, 2)
+        assert p[0] == 0.0 and m[0] == 0.5 and v[0] == 0.25
 
 
 class TestTrain:
@@ -308,6 +306,52 @@ class TestTrain:
         with pytest.raises(ValueError, match="equal samples"):
             train(np.ones((2, 10)), np.ones((2, 11)), TrainConfig(batch_size=5), 0, "linear")
 
+    @staticmethod
+    def _identity_task_with(value, where):
+        """A 4-feature identity task of 200 samples with ``value`` put into
+        one entry of the targets of the first training sample of seed 0
+        ("train") or of the first validation sample ("val"), or of the
+        inputs of the latter ("input")."""
+        x = np.random.default_rng(3).uniform(-1, 1, size=(4, 200))
+        t = x.copy()
+        order = np.random.default_rng(0).permutation(200)
+        sample = order[0] if where == "train" else order[150]
+        (x if where == "input" else t)[2, sample] = value
+        return x, t
+
+    @pytest.mark.parametrize(
+        "value, where, name",
+        [(np.nan, "train", "targets"), (np.nan, "val", "targets"), (np.inf, "input", "inputs")],
+        ids=["nan_target_train_part", "nan_target_val_part", "inf_input"],
+    )
+    def test_non_finite_data_rejected(self, monkeypatch, value, where, name):
+        """A NaN target in the training part would make norm_out NaN, and one
+        in the validation part would keep the initial weights; each case is
+        refused before the generator is seeded."""
+        x, t = self._identity_task_with(value, where)
+
+        def no_generator(*args):
+            raise AssertionError("generator seeded before the data check")
+
+        monkeypatch.setattr(network.np.random, "default_rng", no_generator)
+        cfg = TrainConfig(epochs=2, batch_size=20, split=(0.75, 0.25, 0.0))
+        with pytest.raises(ValueError, match=f"{name} hold a non-finite value"):
+            train(x, t, cfg, 0, "linear")
+
+    def test_non_finite_loss_raises(self, monkeypatch):
+        calls = []
+
+        def diverging_backward(*args):
+            gw, gb, loss = mlp_backward(*args)
+            calls.append(loss)
+            return gw, gb, np.nan if len(calls) == 3 else loss
+
+        monkeypatch.setattr(network, "mlp_backward", diverging_backward)
+        x, t = self._linear_task(n=400)
+        cfg = TrainConfig(epochs=1, batch_size=32, split=(0.75, 0.25, 0.0))
+        with pytest.raises(network.TrainingError, match="loss became non-finite at step 3$"):
+            train(x, t, cfg, 0, "linear")
+
     def test_split_leaving_no_validation_sample_rejected(self):
         # round(0.1 * 3) = 0 validation samples.
         cfg = TrainConfig(batch_size=1, split=(0.9, 0.1, 0.0))
@@ -321,6 +365,22 @@ class TestModelAndTrainConfig:
         model.weights[1][0, 0] = np.nan
         with pytest.raises(ValueError, match="layer 1 has non-finite parameters"):
             MlpModel(model.layer_dims, model.weights, model.biases)
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            (dict(output_activation="tanh"), "unknown output activation 'tanh'"),
+            (dict(layer_dims=[2, 3, 3, 2]), "one weight matrix and bias per layer"),
+            (dict(layer_dims=[2, 4, 2]), "layer 0 parameter shapes inconsistent"),
+            (dict(norm_in=np.array([[0.0, 1.0], [np.nan, 1.0]])), "norm_in has non-finite"),
+            (dict(norm_out=np.array([[0.0, np.inf], [0.0, 1.0]])), "norm_out has non-finite"),
+        ],
+    )
+    def test_inconsistent_model_rejected(self, change, match):
+        model = init_model([2, 3, 2], "linear", rng=0)
+        kw = dict(layer_dims=model.layer_dims, weights=model.weights, biases=model.biases)
+        with pytest.raises(ValueError, match=match):
+            MlpModel(**{**kw, **change})
 
     @pytest.mark.parametrize("kw", [dict(epochs=0), dict(batch_size=0)])
     def test_no_epoch_or_empty_batch_rejected(self, kw):
@@ -444,6 +504,18 @@ class TestSerialization:
         data[len(MODEL_MAGIC) + 4 : len(MODEL_MAGIC) + 8] = (1).to_bytes(4, "little")
         path.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="at least 2 layer sizes, got 1"):
+            load_model(path)
+
+    def test_non_finite_normalization_block_rejected(self, tmp_path):
+        """The first norm_in entry follows the magic, the version and count
+        words, the layer sizes and the activation flag."""
+        path = tmp_path / "nan.mlp"
+        data = bytearray(self.saved_model(path))
+        n_dims = int.from_bytes(data[len(MODEL_MAGIC) + 4 : len(MODEL_MAGIC) + 8], "little")
+        start = len(MODEL_MAGIC) + 8 + 4 * n_dims + 1
+        data[start : start + 8] = np.array(np.nan, dtype="<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="norm_in has non-finite normalization statistics"):
             load_model(path)
 
     def test_unknown_activation_flag_rejected(self, tmp_path):
