@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 
@@ -40,6 +41,7 @@ from .music import (
     doa_mse,
 )
 from .network import (
+    ACTIVATIONS,
     MlpModel,
     TrainConfig,
     atomic_write,
@@ -158,7 +160,7 @@ class ExperimentConfig:
                     f"bound ({arr.max_targets}) of the {arr.tx_count}x{arr.rx_count} "
                     f"{name} array"
                 )
-        if self.output_activation not in ("linear", "relu", "both"):
+        if self.output_activation not in (*ACTIVATIONS, "both"):
             raise ValueError(f"unknown output_activation {self.output_activation!r}")
         for r in range(len(self.angle_ranges_deg)):
             angles = grid_angles(self.spectrum_grid(r))
@@ -185,11 +187,15 @@ class ExperimentConfig:
                 raise ValueError(f"{key} gives duplicate {what}: {dupes}")
         tagged: dict[int, float] = {}
         for snr in map(float, self.snr_test_db):
-            other = tagged.setdefault(_snr_tag(snr), snr)
-            if other != snr:
+            tag = _snr_tag(snr)
+            other = tagged.get(tag)
+            if other == snr:
+                raise ValueError(f"snr_test_db repeats {snr:g} dB")
+            if other is not None:
                 raise ValueError(
                     f"snr_test_db entries {other:g} and {snr:g} dB would seed the same test bank"
                 )
+            tagged[tag] = snr
 
     @property
     def trials(self) -> int:
@@ -216,12 +222,16 @@ class ExperimentConfig:
 # --------------------------------------------------------------------------
 
 def _parse_float_list(text: str) -> list[float]:
-    """Accept 'a,b,c' or 'start:stop:step' (stop inclusive)."""
+    """Accept 'a,b,c' or 'start:stop:step' (stop inclusive, so it must lie a
+    whole number of steps from start)."""
     text = text.strip()
     if ":" in text:
         start, stop, step = (float(p) for p in text.split(":"))
-        n = int(round((stop - start) / step)) + 1
-        return [start + i * step for i in range(n)]
+        steps = (stop - start) / step
+        n = round(steps)
+        if n < 0 or not math.isclose(steps, n, rel_tol=1e-9):
+            raise ValueError(f"{text!r} does not reach its stop in whole steps")
+        return [start + i * step for i in range(n + 1)]
     return [float(p) for p in text.split(",")]
 
 
@@ -547,9 +557,7 @@ class Harness:
             self._seed(2, range_idx, self._set_index(set_id)).generate_state(1)[0]
         )
         activations = (
-            ("linear", "relu")
-            if cfg.output_activation == "both"
-            else (cfg.output_activation,)
+            ACTIVATIONS if cfg.output_activation == "both" else (cfg.output_activation,)
         )
         # Lowest best-validation loss wins; min keeps the first on a tie.
         runs = [train(inputs.T, targets.T, cfg.train, seed, act) for act in activations]

@@ -64,14 +64,17 @@ def hermitian_eig(cov) -> tuple[np.ndarray, np.ndarray]:
     of an (n, n) covariance or of each matrix of a (Q, n, n) stack.
 
     ``eigh`` reads only one triangle, so every matrix is first checked to be
-    Hermitian.  ``eigh`` returns ascending order; both results are reversed
-    views.
+    finite and Hermitian.  ``eigh`` returns ascending order; both results are
+    reversed views.
     """
     r = np.asarray(cov, dtype=complex)
     if r.ndim not in (2, 3) or r.shape[-2] != r.shape[-1]:
         raise ValueError("covariance must be square")
     for m in r.reshape(-1, *r.shape[-2:]):
-        scale = max(np.linalg.norm(m), 1.0)
+        norm = np.linalg.norm(m)
+        if not np.isfinite(norm):
+            raise ValueError("covariance matrix holds a non-finite value")
+        scale = max(norm, 1.0)
         if np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
             raise ValueError("covariance matrix is not Hermitian within tolerance")
     w, u = np.linalg.eigh(r)
@@ -130,9 +133,9 @@ def pick_peaks(spec: SpectrumResult, k: int) -> tuple[np.ndarray, bool]:
     slots are filled with the largest leftover grid values and the trial is
     flagged degenerate (second return value True).
     """
-    if k <= 0:
-        raise ValueError("k must be positive")
     vals = spec.values
+    if not 1 <= k <= vals.size:
+        raise ValueError(f"k={k} must satisfy 1 <= k <= {vals.size} grid points")
     is_peak = np.zeros(vals.size, dtype=bool)
     is_peak[1:-1] = (vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])
     # Peaks first, then largest value first; lexsort is stable, so ties

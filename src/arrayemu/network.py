@@ -37,8 +37,6 @@ __all__ = [
     "predict",
     "save_model",
     "load_model",
-    "read_block",
-    "atomic_write",
 ]
 
 MODEL_MAGIC = b"AEMU-MLP"

@@ -121,6 +121,7 @@ def test_config_without_a_test_trial_exits_1(tmp_path, capsys, override):
         "angle_ranges_deg=nan:25",
         "spacing_wavelengths=inf",
         "spacing_wavelengths=nan",
+        "snr_test_db=0,0,5",
     ],
 )
 def test_config_that_cannot_train_or_sweep_exits_1_before_writing(tmp_path, capsys, override):
@@ -157,7 +158,7 @@ def test_fixed_setting_is_an_unknown_config_key(tmp_path, item):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("value", ["0:10:0", "0:inf:1", "0:nan:1"])
+@pytest.mark.parametrize("value", ["0:10:0", "0:inf:1", "0:nan:1", "0:11:4"])
 def test_bad_range_form_list_exits_1(tmp_path, capsys, value):
     cfg = write_tiny_config(tmp_path)
     assert main(["crb", "--config", str(cfg), "--set", f"snr_test_db={value}"]) == 1

@@ -1,12 +1,15 @@
 """Every public name the package lists resolves.
 
-A stale ``__all__`` entry fails only under ``import *``, so removing a name
-from a module could otherwise leave its export behind unnoticed.
+The package star-imports each module's ``__all__``, so a stale entry fails
+``import arrayemu`` itself; these tests name the module at fault and catch a
+name two modules both list.
 """
 
 import ast
 import importlib
 import os
+import types
+import warnings
 
 import pytest
 
@@ -23,17 +26,34 @@ def test_module_all_resolves(name):
 
 
 def test_package_names_are_module_exports():
-    """Each name ``arrayemu/__init__.py`` imports is in its module's
-    ``__all__`` and is the object the package exposes."""
-    with open(os.path.join(os.path.dirname(arrayemu.__file__), "__init__.py")) as f:
-        tree = ast.parse(f.read())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
-    assert {node.module for node in imports} == set(MODULES)
-    for node in imports:
-        module = importlib.import_module(f"arrayemu.{node.module}")
-        for alias in node.names:
-            assert alias.name in module.__all__, (node.module, alias.name)
-            assert getattr(arrayemu, alias.name) is getattr(module, alias.name)
+    """The package's public names are exactly its modules' ``__all__`` lists
+    plus ``__version__``, each the module's own object, and no name is listed
+    by two modules: a star import would let the later module win silently."""
+    owner = {}
+    for name in MODULES:
+        module = importlib.import_module(f"arrayemu.{name}")
+        for attr in module.__all__:
+            assert attr not in owner, (attr, owner.get(attr), name)
+            owner[attr] = module
+    public = {
+        attr
+        for attr, value in vars(arrayemu).items()
+        if not attr.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(owner)
+    assert arrayemu.__version__
+    for attr, module in owner.items():
+        assert getattr(arrayemu, attr) is getattr(module, attr), attr
+
+
+def test_project_version_is_the_package_version():
+    """pyproject.toml reads its version from ``arrayemu.__version__``."""
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools flags [tool.setuptools] as beta
+        config = pyprojecttoml.read_configuration(f"{root}/pyproject.toml", expand=True)
+    assert config["project"]["version"] == arrayemu.__version__
 
 
 def _unused_imports(path):

@@ -153,13 +153,15 @@ class TestConfig:
                 dict(snr_test_db=[0.0, 5.0, 0.5]),
                 "snr_test_db entries 0 and 0.5 dB would seed the same test bank",
             ),
+            (dict(snr_test_db=[0.0, 0.0, 5.0]), "snr_test_db repeats 0 dB"),
         ],
     )
     def test_colliding_labels_rejected(self, tmp_path, kw, match):
         """Two ranges with one tag would share every dataset and model file,
         two offsets with one label would share one denoise.csv column, and
         two test SNRs with one bank-seed tag (a 32-bit tag of hash(snr))
-        would share every scene and noise draw."""
+        would share every scene and noise draw; a repeated test SNR would
+        repeat its rows in every table."""
         with pytest.raises(ValueError, match=match):
             tiny_config(tmp_path, **kw)
 
@@ -309,6 +311,20 @@ class TestConfig:
         cfg = config_from_items({"seed": "7", "snapshots": "10", "test_samples": "100"})
         assert cfg.seed == 7 and cfg.snapshots == 10
         assert config_from_items({}) == ExperimentConfig()
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("-14:12:2", [-14.0 + 2 * i for i in range(14)]),
+            ("-5:5:5", [-5.0, 0.0, 5.0]),
+            ("10:0:-2", [10.0, 8.0, 6.0, 4.0, 2.0, 0.0]),
+            # 0.3 / 0.1 is 2.9999999999999996 steps: within tolerance of 3.
+            ("0:0.3:0.1", [0.1 * i for i in range(4)]),
+        ],
+    )
+    def test_range_form_list_ends_at_its_stop(self, text, expected):
+        cfg = config_from_items({"denoise_offsets_db": text})
+        assert cfg.denoise_offsets_db == expected
 
 
 class TestDatasetFiles:

@@ -82,6 +82,18 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
+    @pytest.mark.parametrize("where", [(2, 2), (0, 1)], ids=["nan-diagonal", "inf-pair"])
+    def test_non_finite_rejected(self, where):
+        """A NaN compares false, so it would pass the Hermitian check, and an
+        infinite pair would make it subtract inf - inf."""
+        m = np.eye(3, dtype=complex)
+        i, j = where
+        m[i, j] = m[j, i] = np.nan if i == j else np.inf
+        stack = np.stack([np.eye(3, dtype=complex), m])
+        for cov in (m, stack):
+            with pytest.raises(ValueError, match="non-finite value"):
+                hermitian_eig(cov)
+
     @pytest.mark.parametrize(
         "shape", [(3, 4), (2, 3, 4), (4,), (2, 2, 3, 3)], ids=["2d", "stack", "1d", "4d"]
     )
@@ -214,6 +226,12 @@ class TestPickPeaks:
         spec = SpectrumResult(grid_deg=np.arange(3.0), values=np.ones(3))
         with pytest.raises(ValueError):
             pick_peaks(spec, 0)
+
+    def test_k_beyond_grid_rejected(self):
+        spec = SpectrumResult(grid_deg=np.arange(3.0), values=np.array([1, 5, 1.0]))
+        assert pick_peaks(spec, 3)[0].size == 3
+        with pytest.raises(ValueError, match="k=5 must satisfy 1 <= k <= 3 grid points"):
+            pick_peaks(spec, 5)
 
     @settings(max_examples=300, deadline=None)
     @given(
