@@ -86,6 +86,28 @@ def _snr_tag(snr_db: float) -> int:
     return hash(float(snr_db)) & 0xFFFFFFFF
 
 
+def _check_finite(name: str, values) -> None:
+    bad = [v for v in np.ravel(values) if not np.isfinite(v)]
+    if bad:
+        raise ValueError(f"{name} must be finite, got {bad[0]}")
+
+
+def _check_unique(key: str, what: str, labels: list[str]) -> None:
+    dupes = sorted({label for label in labels if labels.count(label) > 1})
+    if dupes:
+        raise ValueError(f"{key} gives duplicate {what}: {dupes}")
+
+
+def _offset_columns(offsets_db) -> list[str]:
+    """The ``r_offset_<dB>`` column of each SNR offset.  Refuses, as a
+    config's ``denoise_offsets_db``, a non-finite offset and offsets that
+    would share a column."""
+    _check_finite("denoise_offsets_db", offsets_db)
+    columns = [f"r_offset_{off:g}" for off in offsets_db]
+    _check_unique("denoise_offsets_db", "column labels", columns)
+    return columns
+
+
 @dataclass
 class ExperimentConfig:
     """Full experiment description.
@@ -122,10 +144,9 @@ class ExperimentConfig:
         for name in ("angle_ranges_deg", "snr_train_db", "snr_test_db"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        for name in ("angle_ranges_deg", "snr_train_db", "snr_test_db", "denoise_offsets_db"):
-            bad = [v for v in np.ravel(getattr(self, name)) if not np.isfinite(v)]
-            if bad:
-                raise ValueError(f"{name} must be finite, got {bad[0]}")
+        for name in ("angle_ranges_deg", "snr_train_db", "snr_test_db"):
+            _check_finite(name, getattr(self, name))
+        _offset_columns(self.denoise_offsets_db)
         if self.snapshots < 1:
             raise ValueError(f"snapshots ({self.snapshots}) must be at least 1")
         if self.test_samples < self.snapshots:
@@ -176,15 +197,8 @@ class ExperimentConfig:
                 )
             check_spacing(self.angle_ranges_deg[r], self.num_targets, self.min_sep_deg)
         tags = [self.range_tag(r) for r in range(len(self.angle_ranges_deg))]
-        columns = [f"r_offset_{off:g}" for off in self.denoise_offsets_db]
-        for key, what, labels in (
-            ("angle_ranges_deg", "range tags", tags),
-            ("snr_train_db", "training set ids", self.set_ids),
-            ("denoise_offsets_db", "column labels", columns),
-        ):
-            dupes = sorted({label for label in labels if labels.count(label) > 1})
-            if dupes:
-                raise ValueError(f"{key} gives duplicate {what}: {dupes}")
+        _check_unique("angle_ranges_deg", "range tags", tags)
+        _check_unique("snr_train_db", "training set ids", self.set_ids)
         tagged: dict[int, float] = {}
         for snr in map(float, self.snr_test_db):
             tag = _snr_tag(snr)
@@ -430,15 +444,14 @@ def write_grid(rows: list[dict], path) -> None:
 class _Bank:
     """One test bank, as plain arrays: Q scenes as a (Q, K) angle and a
     (Q, K, P) reflectivity stack, their low blocks as a (Q, MN, P) stack,
-    the complex (Q, MN, MN) covariance stack of their high blocks (MUSIC and
-    R_e read the high blocks only through it), and a noise seed per trial
-    for the SNR-offset references."""
+    and the complex (Q, MN, MN) covariance stack of their high blocks (MUSIC
+    and R_e read the high blocks only through it).  Its bytes follow from
+    the bank's seed alone, so a bank dropped with its cell is rebuilt equal."""
 
     angles_rad: np.ndarray
     rcs: np.ndarray
     low: np.ndarray
     high_cov: np.ndarray
-    offset_seeds: list[np.random.SeedSequence]
 
     @property
     def truths_deg(self) -> np.ndarray:
@@ -446,10 +459,11 @@ class _Bank:
 
 
 def _memo(method):
-    """Cache a Harness method's results in its instance's ``_memo``, keyed by
-    the method name and positional arguments (so 0 and 0.0 share an entry).
-    The cache dies with the instance; ``functools.cache`` on a method would
-    keep every Harness and its banks alive."""
+    """Cache a Harness method's small result (a model, an evaluation dict, a
+    CRB pair) in its instance's ``_memo`` for the life of the instance, keyed
+    by the method name and positional arguments (so 0 and 0.0 share an
+    entry).  The cache dies with the instance; ``functools.cache`` on a
+    method would keep every Harness alive."""
 
     @functools.wraps(method)
     def cached(self, *args):
@@ -461,13 +475,42 @@ def _memo(method):
     return cached
 
 
+def _cell_memo(method):
+    """Cache a Harness method whose first two arguments are a (range index,
+    test SNR) cell, as ``_memo`` does, but only while that cell is current:
+    a call for another cell first drops the arrays cached for the last one.
+    So a table that visits each cell once holds one test bank at a time."""
+
+    @functools.wraps(method)
+    def cached(self, range_idx, snr_db, *args):
+        if (range_idx, snr_db) != self._cell_key:
+            self._cell_key, self._cell = (range_idx, snr_db), {}
+        key = (method.__name__, *args)
+        if key not in self._cell:
+            self._cell[key] = method(self, range_idx, snr_db, *args)
+        return self._cell[key]
+
+    return cached
+
+
 class Harness:
-    """Runs the protocol of an ExperimentConfig, memoizing models, test banks
-    and per-(set, SNR) evaluation results per instance."""
+    """Runs the protocol of an ExperimentConfig.
+
+    Models and per-(set, SNR) evaluation results are memoized for the life
+    of the instance.  Test banks and their reference covariances are large,
+    so the instance holds those of one (range, test SNR) cell at a time; a
+    table walks the cells in ``_cells()`` order and visits each once."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self._memo: dict[tuple, object] = {}
+        self._cell_key: tuple | None = None
+        self._cell: dict[tuple, object] = {}
+        # Index i of each nonzero SNR offset, fixed the first time this
+        # Harness asks for it: trial q's offset noise comes from spawn key
+        # (q, i) of the bank seed.  r_offset at an offset therefore depends
+        # on which offsets this Harness asked for first (ROADMAP item 3).
+        self._offset_index: dict[float, int] = {}
 
     # -- paths -------------------------------------------------------------
 
@@ -573,12 +616,13 @@ class Harness:
 
     # -- test data ---------------------------------------------------------
 
-    @_memo
+    def _bank_seed(self, range_idx: int, snr_db: float) -> np.random.SeedSequence:
+        return self._seed(3, range_idx, _snr_tag(snr_db))
+
+    @_cell_memo
     def test_bank(self, range_idx: int, snr_db: float) -> _Bank:
         cfg = self.cfg
-        ss = self._seed(3, range_idx, _snr_tag(snr_db))
-        rng = np.random.default_rng(ss)
-        offset_seeds = ss.spawn(cfg.trials)
+        rng = np.random.default_rng(self._bank_seed(range_idx, snr_db))
         trials, k, p, mn = cfg.trials, cfg.num_targets, cfg.snapshots, cfg.high.virtual_size
         angles, rcs = np.empty((trials, k)), np.empty((trials, k, p), dtype=complex)
         low = np.empty((trials, cfg.low.virtual_size, p), dtype=complex)
@@ -588,9 +632,9 @@ class Harness:
         for q in range(trials):
             angles[q], rcs[q], low[q], bh = self._draw_trial(range_idx, snr_db, rng)
             high_cov[q] = sample_covariance(bh)
-        return _Bank(angles, rcs, low, high_cov, offset_seeds)
+        return _Bank(angles, rcs, low, high_cov)
 
-    @_memo
+    @_cell_memo
     def _ref_cov(self, range_idx: int, snr_db: float, offset_db: float) -> np.ndarray:
         """Covariance stack of the actual high array, the reference of r_e and
         r_offset: the bank's own high covariances at offset 0, else those of
@@ -598,10 +642,11 @@ class Harness:
         bank = self.test_bank(range_idx, snr_db)
         if offset_db == 0.0:
             return bank.high_cov
+        i = self._offset_index.setdefault(offset_db, len(self._offset_index))
+        entropy = self._bank_seed(range_idx, snr_db).entropy
         covs = np.empty_like(bank.high_cov)
-        for q, seeds in enumerate(bank.offset_seeds):
-            # spawn() is stateful: an offset's noise depends on which offsets came first.
-            rng = np.random.default_rng(seeds.spawn(1)[0])
+        for q in range(len(covs)):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(q, i)))
             covs[q] = sample_covariance(synthesize_block(
                 bank.angles_rad[q], bank.rcs[q], self.cfg.high, snr_db + offset_db, rng
             ))
@@ -781,32 +826,35 @@ class Harness:
 
     def denoise_analysis(self, offsets_db=None) -> list[dict]:
         """Covariance fidelity of the M2-trained and matched-SNR models,
-        with the plain and SNR-offset references, per test SNR."""
+        with the plain and SNR-offset references, per test SNR.  Rows come
+        range by range, the M2 rows of a range before its matched rows."""
         cfg = self.cfg
         if offsets_db is None:
             offsets_db = cfg.denoise_offsets_db
+        columns = _offset_columns(offsets_db)
         matched = self._matched_sets()
-        rows = []
-        for r in range(len(cfg.angle_ranges_deg)):
-            for kind in ("M2", "matched"):
-                for snr in cfg.snr_test_db:
-                    sid = "M2" if kind == "M2" else matched[snr]
-                    ev = self.eval_model(r, sid, snr)
-                    row = {
-                        "angle_range": cfg.range_tag(r),
-                        "model": kind,
-                        "test_snr_db": float(snr),
-                        "r_e": ev["r_e"],
-                    }
-                    # eval_model already holds these two; predict again only
-                    # for another offset.
-                    known = {0.0: ev["r_e"], self._eval_offset: ev["r_offset"]}
-                    new = [off for off in offsets_db if off not in known]
-                    if new:
-                        pred = self._predicted_covs(r, sid, snr)
-                        known.update(
-                            (off, cov_error(self._ref_cov(r, snr, off), pred)) for off in new
-                        )
-                    row.update((f"r_offset_{off:g}", known[off]) for off in offsets_db)
-                    rows.append(row)
-        return rows
+        tables = {
+            (r, kind): [] for r in range(len(cfg.angle_ranges_deg)) for kind in ("M2", "matched")
+        }
+        # Both models of a cell share its bank and offset references.
+        for r, snr in self._cells():
+            for kind, sid in (("M2", "M2"), ("matched", matched[snr])):
+                ev = self.eval_model(r, sid, snr)
+                # eval_model already holds these two; predict again only
+                # for another offset.
+                known = {0.0: ev["r_e"], self._eval_offset: ev["r_offset"]}
+                new = [off for off in offsets_db if off not in known]
+                if new:
+                    pred = self._predicted_covs(r, sid, snr)
+                    known.update(
+                        (off, cov_error(self._ref_cov(r, snr, off), pred)) for off in new
+                    )
+                row = {
+                    "angle_range": cfg.range_tag(r),
+                    "model": kind,
+                    "test_snr_db": float(snr),
+                    "r_e": ev["r_e"],
+                }
+                row.update((col, known[off]) for col, off in zip(columns, offsets_db))
+                tables[r, kind].append(row)
+        return [row for table in tables.values() for row in table]

@@ -70,15 +70,27 @@ def hermitian_eig(cov) -> tuple[np.ndarray, np.ndarray]:
     r = np.asarray(cov, dtype=complex)
     if r.ndim not in (2, 3) or r.shape[-2] != r.shape[-1]:
         raise ValueError("covariance must be square")
-    for m in r.reshape(-1, *r.shape[-2:]):
-        norm = np.linalg.norm(m)
-        if not np.isfinite(norm):
-            raise ValueError("covariance matrix holds a non-finite value")
-        scale = max(norm, 1.0)
-        if np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
-            raise ValueError("covariance matrix is not Hermitian within tolerance")
+    re, im = r.real, r.imag
+    # Each matrix's largest real or imaginary magnitude, at least 1: finite
+    # exactly when every entry is, as max() keeps a NaN or an infinity.
+    peak = np.maximum(np.abs(re), np.abs(im)).max(axis=(-2, -1), initial=1.0)
+    if not np.isfinite(peak).all():
+        raise ValueError("covariance matrix holds a non-finite value")
+    # ||m - m^H||_F <= HERMITIAN_RTOL * max(||m||_F, 1), squared and taken on
+    # m / peak, so that no norm of finite entries overflows.
+    scale = 1.0 / peak[..., None, None]
+    re, im = re * scale, im * scale
+    residual = _sum_squares(re - re.swapaxes(-2, -1)) + _sum_squares(im + im.swapaxes(-2, -1))
+    bound = np.maximum(_sum_squares(re) + _sum_squares(im), peak**-2.0)
+    if np.any(residual > HERMITIAN_RTOL**2 * bound):
+        raise ValueError("covariance matrix is not Hermitian within tolerance")
     w, u = np.linalg.eigh(r)
     return w[..., ::-1], u[..., ::-1]
+
+
+def _sum_squares(x: np.ndarray) -> np.ndarray:
+    """Sum of squares over the last two axes of a real array."""
+    return np.einsum("...ij,...ij->...", x, x)
 
 
 def noise_subspace(eigenvectors: np.ndarray, k: int) -> np.ndarray:

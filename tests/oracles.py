@@ -4,9 +4,9 @@ These deliberately avoid the library's code paths (and numpy's eigensolver)
 so they can serve as oracles: a cyclic Jacobi eigensolver for Hermitian
 matrices, a loop-based MLP forward pass, central finite differences for
 gradients, a loop-based MUSIC pseudospectrum, and the straightforward forms
-of the training loop, of the scene sampler, of the snapshot noise and of
-the per-trial MUSIC evaluation that the library's faster versions must
-reproduce bit for bit.
+of the training loop, of the scene sampler, of the snapshot noise, of the
+SNR-offset noise streams and of the per-trial MUSIC evaluation that the
+library's faster versions must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -224,6 +224,23 @@ def reference_synthesize_block(angles_rad, rcs, cfg, snr_db, rng):
         scale = np.sqrt(sigma2 / 2.0)
         y = y + scale * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
     return y
+
+
+def reference_offset_covs(bank_entropy, angles_rad, rcs, cfg, snr_db, offset_index):
+    """High-array covariances of a test bank's scenes re-synthesized at
+    ``snr_db`` in the spawn() layout of SNR-offset noise: at the i-th
+    nonzero offset a Harness asks for, trial q of Q draws its noise from
+    ``ss.spawn(Q)[q].spawn(i + 1)[i]``, ``ss`` being the bank's seed
+    sequence, rebuilt here from ``bank_entropy``.  Returns a (Q, MN, MN)
+    stack of (y yᴴ / P + its conjugate transpose) / 2."""
+    ss = np.random.SeedSequence(bank_entropy)
+    covs = []
+    for q, trial_seed in enumerate(ss.spawn(len(angles_rad))):
+        rng = np.random.default_rng(trial_seed.spawn(offset_index + 1)[offset_index])
+        y = reference_synthesize_block(angles_rad[q], rcs[q], cfg, snr_db, rng)
+        r = (y @ y.conj().T) / y.shape[1]
+        covs.append((r + r.conj().T) / 2.0)
+    return np.stack(covs)
 
 
 def reference_pick_peaks(values: np.ndarray, grid_deg: np.ndarray, k: int):

@@ -29,7 +29,7 @@ from arrayemu import network
 from arrayemu.music import sample_covariance
 from arrayemu.network import TrainConfig, predict, save_model, train
 
-from oracles import reference_music_mse
+from oracles import reference_music_mse, reference_offset_covs
 
 
 def tiny_config(out_dir, **kw):
@@ -603,6 +603,29 @@ class TestTrainingAndEval:
         for row, known_row, cold_row in zip(rows, known, cold):
             assert {**row, **known_row} == cold_row
 
+    @pytest.mark.parametrize(
+        "offsets, match",
+        [
+            (
+                [8.0, 8.0000001],
+                "denoise_offsets_db gives duplicate column labels: \\['r_offset_8'\\]",
+            ),
+            ([float("nan")], "denoise_offsets_db must be finite, got nan"),
+            ([8.0, float("inf")], "denoise_offsets_db must be finite, got inf"),
+        ],
+        ids=["colliding", "nan", "inf"],
+    )
+    def test_denoise_refuses_offsets_the_config_refuses(self, tmp_path, offsets, match):
+        """An explicit offset list gets the config's checks and messages,
+        before any model is trained or bank built."""
+        out = tmp_path / "exp"
+        h = Harness(tiny_config(out))
+        with pytest.raises(ValueError, match=match):
+            h.denoise_analysis(offsets)
+        assert not out.exists() and h._memo == {} and h._cell == {}
+        with pytest.raises(ValueError, match=match):
+            tiny_config(out, denoise_offsets_db=offsets)
+
     @pytest.mark.parametrize("table", ["best_train_snr_grid", "denoise_analysis"])
     def test_tables_run_no_raw_music(self, harness, monkeypatch, table):
         """The grid and denoising tables print no raw-array column, so a fresh
@@ -618,6 +641,25 @@ class TestTrainingAndEval:
         assert calls == []
         Harness(harness.cfg).run_case_sweep("matched_snr")
         assert len(calls) == len(harness.cfg.snr_test_db)
+
+    @pytest.mark.parametrize(
+        "table, args",
+        [
+            ("run_case_sweep", ("best_of_all",)),
+            ("best_train_snr_grid", ()),
+            ("denoise_analysis", ([12.0],)),
+            ("crb_table", ()),
+        ],
+    )
+    def test_a_table_builds_each_bank_once(self, harness, monkeypatch, table, args):
+        """Every table visits each (range, test SNR) cell once, so a fresh
+        Harness builds each bank once although it keeps only one."""
+        for sid in harness.cfg.set_ids:
+            harness.ensure_model(0, sid)
+        h = Harness(harness.cfg)
+        calls = count_calls(monkeypatch, "synthesize_pair")
+        assert getattr(h, table)(*args)
+        assert len(calls) == h.cfg.trials * len(list(h._cells()))
 
     def test_predicted_covs_equal_covariances_of_stacked_predictions(self, harness):
         """Forming each trial's covariance as soon as predict returns gives
@@ -666,6 +708,55 @@ class TestMemo:
         h = Harness(tiny_config(tmp_path))
         assert h.test_bank(0, 0) is h.test_bank(0, 0.0)
         assert len(calls) == h.cfg.trials
+
+    def test_bank_rebuilt_after_its_cell_equals_the_first_build(self, tmp_path):
+        """Leaving a cell drops its bank and offset references; coming back
+        rebuilds them from their seeds with the same bytes."""
+        h = Harness(tiny_config(tmp_path))
+        first, ref = h.test_bank(0, 0.0), h._ref_cov(0, 0.0, 8.0)
+        h.test_bank(0, 5.0)
+        again = h.test_bank(0, 0.0)
+        assert again is not first
+        for f in fields(first):
+            assert np.array_equal(getattr(again, f.name), getattr(first, f.name))
+        assert np.array_equal(h._ref_cov(0, 0.0, 8.0), ref)
+
+    def test_offset_references_follow_the_spawn_layout(self, tmp_path):
+        """Trial q's noise at the i-th nonzero offset a Harness asks for is
+        that of the bank seed's spawn(Q)[q].spawn(i + 1)[i].  The index
+        belongs to the Harness: a cell that asks for 4 dB first still uses
+        the index 4 dB got in another cell."""
+        cfg = tiny_config(tmp_path)
+        h = Harness(cfg)
+
+        def expected(snr, offset, i):
+            bank = h.test_bank(0, snr)
+            entropy = [cfg.seed, 3, 0, hash(snr) & 0xFFFFFFFF]
+            return reference_offset_covs(
+                entropy, bank.angles_rad, bank.rcs, cfg.high, snr + offset, i
+            )
+
+        for i, offset in enumerate([12.0, 8.0, 4.0]):
+            assert np.array_equal(h._ref_cov(0, 0.0, offset), expected(0.0, offset, i))
+        assert np.array_equal(h._ref_cov(0, 5.0, 4.0), expected(5.0, 4.0, 2))
+
+    def test_one_harness_gives_the_rows_of_a_fresh_harness_per_table(self, tmp_path):
+        """Tables that share one Harness, and so rebuild banks they left,
+        give the rows a fresh Harness per table gives, as in one-verb CLI
+        runs."""
+        cfg = tiny_config(tmp_path, angle_ranges_deg=[(0.0, 25.0), (20.0, 45.0)])
+        tables = [
+            lambda h: h.run_case_sweep("matched_snr").rows,
+            lambda h: h.run_case_sweep("best_of_all").rows,
+            lambda h: h.run_case_sweep("raw_low").rows,
+            lambda h: h.best_train_snr_grid(),
+            lambda h: h.denoise_analysis([0.0, 8.0, 12.0]),
+            lambda h: h.crb_table(),
+        ]
+        shared = Harness(cfg)
+        # repr() compares the NaN columns of raw rows too.
+        together = [repr(table(shared)) for table in tables]
+        assert together == [repr(table(Harness(cfg))) for table in tables]
 
     def test_dropped_harness_is_freed_with_its_cache(self, tmp_path):
         h = Harness(tiny_config(tmp_path))
@@ -757,6 +848,24 @@ class TestStackedMusic:
         finally:
             tracemalloc.stop()
         assert held < len(cfg.snr_test_db) * stack_bytes
+
+    def test_raw_sweep_holds_less_than_two_banks(self, music_harness):
+        """A sweep leaves each cell for good, so after it the Harness holds
+        less than two banks' arrays, not one bank per cell."""
+        cfg = music_harness.cfg
+        assert len(cfg.snr_test_db) >= 4
+        bank = Harness(cfg).test_bank(0, cfg.snr_test_db[0])
+        bank_bytes = sum(getattr(bank, f.name).nbytes for f in fields(bank))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            h = Harness(cfg)
+            h.run_case_sweep("raw_low")
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 2 * bank_bytes
 
 
 class TestResultsCsv:

@@ -94,6 +94,37 @@ class TestHermitianEig:
             with pytest.raises(ValueError, match="non-finite value"):
                 hermitian_eig(cov)
 
+    @pytest.mark.parametrize("scale", [1e200, 1.7e308])
+    def test_large_finite_entries_are_not_called_non_finite(self, scale):
+        """Every entry is finite though the Frobenius norm overflows: the
+        Hermitian matrix is decomposed without a warning, and a non-Hermitian
+        one is refused as such."""
+        w, _ = hermitian_eig(np.eye(3) * scale)
+        assert np.array_equal(w, np.full(3, scale))
+        skew = np.eye(3) * scale
+        skew[0, 1] = scale
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(skew)
+
+    @pytest.mark.parametrize(
+        "small_delta, ok", [(5e-11, True), (1e-10, False)], ids=["within", "beyond"]
+    )
+    def test_tolerance_is_relative_above_unit_norm(self, small_delta, ok):
+        """A matrix passes when ||m - mᴴ||_F <= 1e-10 * max(||m||_F, 1), each
+        matrix of a stack on its own: here a norm of about 1.4e6 allows an
+        asymmetry of 1e-4, and a norm below 1 one of 7.1e-11."""
+        stack = np.stack([np.eye(2) * 1e6, np.eye(2) * 1e-3]).astype(complex)
+        stack[0, 0, 1] = 0.5e-4
+        stack[1, 0, 1] = small_delta
+        if ok:
+            assert hermitian_eig(stack)[0].shape == (2, 2)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                hermitian_eig(stack)
+        stack[0, 0, 1] = 2e-4
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(stack[:1])
+
     @pytest.mark.parametrize(
         "shape", [(3, 4), (2, 3, 4), (4,), (2, 2, 3, 3)], ids=["2d", "stack", "1d", "4d"]
     )
