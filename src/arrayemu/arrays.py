@@ -175,8 +175,12 @@ def draw_scene(
 
 
 def snr_to_noise_var(snr_db: float) -> float:
-    """Per-entry noise variance for unit per-target signal power."""
-    return 10.0 ** (-snr_db / 10.0)
+    """Per-entry noise variance for unit per-target signal power.  An SNR so
+    low that the variance overflows a float is refused."""
+    try:
+        return 10.0 ** (-float(snr_db) / 10.0)
+    except OverflowError:
+        raise ValueError(f"noise variance at SNR {snr_db:g} dB overflows a float") from None
 
 
 def _scene_arrays(angles_rad, rcs) -> tuple[np.ndarray, np.ndarray]:

@@ -146,6 +146,14 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be non-empty")
         for name in ("angle_ranges_deg", "snr_train_db", "snr_test_db"):
             _check_finite(name, getattr(self, name))
+        for name in ("snr_train_db", "snr_test_db"):
+            for snr in getattr(self, name):
+                try:
+                    sigma2 = snr_to_noise_var(snr)
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
+                if name == "snr_test_db" and sigma2 == 0.0:
+                    raise ValueError(f"{name}: noise variance at SNR {snr:g} dB underflows to 0")
         _offset_columns(self.denoise_offsets_db)
         if self.snapshots < 1:
             raise ValueError(f"snapshots ({self.snapshots}) must be at least 1")
@@ -734,53 +742,51 @@ class Harness:
         of the sweep, grid and CRB tables."""
         return itertools.product(range(len(self.cfg.angle_ranges_deg)), self.cfg.snr_test_db)
 
-    def _row(self, range_idx, set_id, snr_db, mse, r_e=float("nan"), r_offset=float("nan")):
-        raw = self.eval_raw(range_idx, snr_db)
-        crb_low, crb_high = self._mean_crbs(range_idx, snr_db)
-        return SweepRow(
-            angle_range=self.cfg.range_tag(range_idx),
-            train_set_id=set_id,
-            test_snr_db=float(snr_db),
-            doa_mse_rad2=mse,
-            crb_low=crb_low,
-            crb_high=crb_high,
-            mse_low_array=raw["mse_low"],
-            mse_high_array=raw["mse_high"],
-            r_e=r_e,
-            r_offset=r_offset,
-        )
+    def _sweep(self, pick) -> SweepResult:
+        """One row per cell, in ``_cells()`` order, for what ``pick(range_idx,
+        snr_db)`` names there: a training set, or "raw_low"/"raw_high" for that
+        raw array's MSE with NaN covariance errors."""
+        rows = []
+        for r, snr in self._cells():
+            set_id = pick(r, snr)
+            raw = self.eval_raw(r, snr)
+            crbs = self._mean_crbs(r, snr)
+            if set_id in ("raw_low", "raw_high"):
+                mse = raw["mse_" + set_id.removeprefix("raw_")]
+                ev = {"mse": mse, "r_e": math.nan, "r_offset": math.nan}
+            else:
+                ev = self.eval_model(r, set_id, snr)
+            rows.append(SweepRow(
+                self.cfg.range_tag(r), set_id, float(snr), ev["mse"], *crbs,
+                raw["mse_low"], raw["mse_high"], ev["r_e"], ev["r_offset"],
+            ))
+        return SweepResult(rows=rows)
 
     def set_sweep(self, set_id: str) -> SweepResult:
         """One trained set over every angle range and test SNR."""
-        return SweepResult(rows=[
-            self._row(r, set_id, snr, **self.eval_model(r, set_id, snr))
-            for r, snr in self._cells()
-        ])
+        return self._sweep(lambda r, snr: set_id)
 
     def run_case_sweep(self, case: str) -> SweepResult:
         """One protocol case over every angle range and test SNR.
 
         Cases: "mixed_M1" (train on the big mixed set), "matched_snr"
         (train SNR equals test SNR), "best_of_all" (lowest MSE across all
-        16 sets), and the "raw_low"/"raw_high" no-network baselines.
+        16 sets), and the "raw_low"/"raw_high" no-network baselines.  A case
+        only chooses each cell's set.
         """
         if case not in CASES:
             raise ValueError(f"unknown case {case!r}; expected one of {CASES}")
         if case == "mixed_M1":
             return self.set_sweep("M1")
-        matched = self._matched_sets() if case == "matched_snr" else {}
-        rows = []
-        for r, snr in self._cells():
-            if case in ("raw_low", "raw_high"):
-                mse = self.eval_raw(r, snr)["mse_" + case.removeprefix("raw_")]
-                rows.append(self._row(r, case, snr, mse))
-                continue
-            if case == "matched_snr":
-                sid = matched[snr]
-            else:  # best_of_all; min keeps the first of equal MSEs
-                sid = min(self.cfg.set_ids, key=lambda s: self.eval_model(r, s, snr)["mse"])
-            rows.append(self._row(r, sid, snr, **self.eval_model(r, sid, snr)))
-        return SweepResult(rows=rows)
+        if case == "matched_snr":
+            matched = self._matched_sets()
+            return self._sweep(lambda r, snr: matched[snr])
+        if case == "best_of_all":
+            # min keeps the first of equal MSEs.
+            return self._sweep(lambda r, snr: min(
+                self.cfg.set_ids, key=lambda s: self.eval_model(r, s, snr)["mse"]
+            ))
+        return self._sweep(lambda r, snr: case)
 
     def best_train_snr_grid(self) -> list[dict]:
         """Full train-SNR x test-SNR MSE table with best / second-best /

@@ -313,10 +313,16 @@ class TestDrawScene:
 
 class TestSnrToNoiseVar:
     @pytest.mark.parametrize(
-        "snr_db,expected", [(0.0, 1.0), (10.0, 0.1), (-16.0, 10**1.6)]
+        "snr_db,expected",
+        [(0.0, 1.0), (10.0, 0.1), (-16.0, 10**1.6), (-3080.0, 1e308), (4000.0, 0.0)],
     )
     def test_values(self, snr_db, expected):
         assert snr_to_noise_var(snr_db) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("snr_db", [-4000, -3084.0, np.float64(-4000.0)])
+    def test_overflowing_variance_refused(self, snr_db):
+        with pytest.raises(ValueError, match=f"noise variance at SNR {snr_db:g} dB overflows"):
+            snr_to_noise_var(snr_db)
 
 
 class TestSynthesizePair:

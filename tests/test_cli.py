@@ -131,6 +131,26 @@ def test_config_that_cannot_train_or_sweep_exits_1_before_writing(tmp_path, caps
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "verb, override, snr",
+    [
+        ("crb", "snr_test_db=-4000", "-4000 dB overflows a float"),
+        ("gen-data", "snr_train_db=-4000,0,5", "-4000 dB overflows a float"),
+        ("crb", "snr_test_db=4000", "4000 dB underflows to 0"),
+    ],
+    ids=["test-overflow", "train-overflow", "test-zero"],
+)
+def test_snr_beyond_the_float_range_exits_1_before_writing(tmp_path, capsys, verb, override, snr):
+    """An SNR whose noise variance overflows, or a test SNR whose variance
+    is 0, is one error line, not a traceback or a failure after the banks."""
+    cfg = write_tiny_config(tmp_path)
+    assert main([verb, "--config", str(cfg), "--set", override]) == 1
+    key = override.split("=")[0]
+    err = capsys.readouterr().err
+    assert err == f"arrayemu: error: {key}: noise variance at SNR {snr}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_on_dataset_cut_in_header_exits_1(tmp_path, capsys):
     cfg = write_tiny_config(tmp_path)
     datasets = tmp_path / "out" / "datasets" / "range_0_25"

@@ -10,6 +10,7 @@ import pytest
 
 from arrayemu.arrays import ArrayConfig, draw_scene
 from arrayemu.harness import (
+    CASES,
     CONFIG_KEYS,
     DATASET_MAGIC,
     ExperimentConfig,
@@ -164,6 +165,33 @@ class TestConfig:
         repeat its rows in every table."""
         with pytest.raises(ValueError, match=match):
             tiny_config(tmp_path, **kw)
+
+    @pytest.mark.parametrize(
+        "kw, match",
+        [
+            (
+                dict(snr_train_db=[-4000.0, 0.0, 5.0]),
+                "snr_train_db: noise variance at SNR -4000 dB overflows",
+            ),
+            (
+                dict(snr_test_db=[0.0, -4000.0]),
+                "snr_test_db: noise variance at SNR -4000 dB overflows",
+            ),
+            (
+                dict(snr_test_db=[0.0, 4000.0]),
+                "snr_test_db: noise variance at SNR 4000 dB underflows to 0",
+            ),
+        ],
+        ids=["train-overflow", "test-overflow", "test-zero"],
+    )
+    def test_snr_without_a_usable_noise_variance_rejected(self, tmp_path, kw, match):
+        """A training or test SNR whose noise variance overflows, and a test
+        SNR whose variance is 0 (its CRB needs a positive one), are refused
+        with the config; a training SNR with variance 0 trains on noiseless
+        blocks."""
+        with pytest.raises(ValueError, match=match):
+            tiny_config(tmp_path, **kw)
+        tiny_config(tmp_path, snr_train_db=[-5.0, 0.0, 4000.0])
 
     @pytest.mark.parametrize("sep", [float("nan"), -3.0])
     def test_nan_or_negative_separation_rejected(self, tmp_path, sep):
@@ -481,6 +509,12 @@ def harness(tmp_path_factory):
     return Harness(tiny_config(tmp_path_factory.mktemp("exp")))
 
 
+@pytest.fixture(scope="module")
+def two_range_harness(tmp_path_factory):
+    ranges = [(0.0, 25.0), (20.0, 45.0)]
+    return Harness(tiny_config(tmp_path_factory.mktemp("two"), angle_ranges_deg=ranges))
+
+
 class TestTrainingAndEval:
     def test_model_persisted_and_reloaded(self, harness, monkeypatch):
         model = harness.ensure_model(0, "snr_0")
@@ -546,6 +580,32 @@ class TestTrainingAndEval:
         best = harness.run_case_sweep("best_of_all")
         for m, b in zip(matched.rows, best.rows):
             assert b.doa_mse_rad2 <= m.doa_mse_rad2
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_cases_only_choose_sets(self, two_range_harness, case):
+        """A case only picks each cell's set: a model row is, by repr, that
+        cell's row of set_sweep(<its set>); a raw row holds the cell's
+        eval_raw MSE, both raw columns, its CRBs and NaN covariance errors."""
+        h = two_range_harness
+        rows = h.run_case_sweep(case).rows
+        cells = list(h._cells())
+        assert len(rows) == len(cells) == 6
+        by_set = {}
+        for i, ((r, snr), row) in enumerate(zip(cells, rows)):
+            if case.startswith("raw_"):
+                raw = h.eval_raw(r, snr)
+                assert (row.angle_range, row.train_set_id, row.test_snr_db) == (
+                    h.cfg.range_tag(r), case, snr
+                )
+                assert row.doa_mse_rad2 == raw["mse_" + case.removeprefix("raw_")]
+                assert (row.mse_low_array, row.mse_high_array) == (raw["mse_low"], raw["mse_high"])
+                assert (row.crb_low, row.crb_high) == h._mean_crbs(r, snr)
+                assert np.isnan(row.r_e) and np.isnan(row.r_offset)
+            else:
+                sid = row.train_set_id
+                if sid not in by_set:
+                    by_set[sid] = h.set_sweep(sid).rows
+                assert repr(row) == repr(by_set[sid][i])
 
     def test_unknown_case_rejected(self, harness):
         with pytest.raises(ValueError):

@@ -106,6 +106,29 @@ class TestHermitianEig:
         with pytest.raises(ValueError, match="not Hermitian"):
             hermitian_eig(skew)
 
+    def test_overflowing_eigenvalues_rejected(self):
+        """Finite Hermitian entries can still have an eigenvalue beyond the
+        float range, which eigh returns as inf: alone or in a stack, such a
+        matrix is refused as an overflow."""
+        big = np.full((2, 2), 1.7e308)
+        for cov in (big, np.stack([np.eye(2), big])):
+            with pytest.raises(ValueError, match="eigenvalues overflow"):
+                hermitian_eig(cov)
+
+    def test_non_contiguous_stack_is_checked(self):
+        """Every other matrix of a stack, and a stack with its axes swapped,
+        is checked and decomposed as its contiguous copy is."""
+        rng = np.random.default_rng(8)
+        cov = sample_covariance(rng.standard_normal((6, 3, 5)) + 0j)
+        for view in (cov[::2], cov.swapaxes(-2, -1)):
+            assert not view.flags.c_contiguous
+            for got, want in zip(hermitian_eig(view), hermitian_eig(view.copy())):
+                assert np.array_equal(got, want)
+        bad = cov.copy()
+        bad[2, 0, 1] += 1e-3
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eig(bad[::2])
+
     @pytest.mark.parametrize(
         "small_delta, ok", [(5e-11, True), (1e-10, False)], ids=["within", "beyond"]
     )
