@@ -18,10 +18,7 @@ from arrayemu import (
     crb,
     doa_mse,
     draw_scene,
-    hermitian_eig,
-    music_spectrum,
-    noise_subspace,
-    pick_peaks,
+    music_doas,
     sample_covariance,
     snr_to_noise_var,
     synthesize_block,
@@ -40,9 +37,7 @@ print("scene DOAs [deg]:", np.round(truth_deg, 2))
 
 def music_once(arr, snr_db, trial_rng):
     block = synthesize_block(angles_rad, rcs, arr, snr_db, trial_rng)
-    un = noise_subspace(hermitian_eig(sample_covariance(block))[1], k=2)
-    angles, _ = pick_peaks(music_spectrum(un, arr, grid), k=2)
-    return angles
+    return music_doas(sample_covariance(block[None]), arr, grid, 2)[0]
 
 
 print(f"\n{'snr':>5} {'crb low':>10} {'mse low':>10} {'crb high':>10} {'mse high':>10}")

@@ -26,7 +26,7 @@ from .harness import (
     write_results,
     write_rows,
 )
-from .music import hermitian_eig, music_spectrum, noise_subspace, pick_peaks, sample_covariance
+from .music import music_doas, sample_covariance
 
 VERBS = ("gen-data", "train", "eval", "sweep", "grid", "denoise", "crb", "demo")
 
@@ -90,9 +90,7 @@ def run_demo() -> int:
     truth_deg = np.array([-10.0, 20.0])
     rcs = draw_rcs(2, 32, rng=1234)
     block = synthesize_block(np.deg2rad(truth_deg), rcs, cfg, snr_db=300.0, rng=0)
-    _, u = hermitian_eig(sample_covariance(block))
-    spec = music_spectrum(noise_subspace(u, 2), cfg, (-30.0, 40.0, 0.1))
-    angles, _ = pick_peaks(spec, 2)
+    angles = music_doas(sample_covariance(block[None]), cfg, (-30.0, 40.0, 0.1), 2)[0]
     print("true angles (deg):     " + "  ".join(f"{a:7.2f}" for a in truth_deg))
     print("recovered angles (deg):" + "  ".join(f"{a:7.2f}" for a in angles))
     return 0

@@ -26,20 +26,11 @@ from .arrays import (
     check_spacing,
     draw_scene,
     snr_to_noise_var,
-    steering_matrix,
     synthesize_block,
     synthesize_pair,
 )
 from .metrics import cov_error, crb
-from .music import (
-    grid_angles,
-    hermitian_eig,
-    music_spectrum,
-    noise_subspace,
-    pick_peaks,
-    sample_covariance,
-    doa_mse,
-)
+from .music import doa_mse, grid_angles, music_doas, sample_covariance
 from .network import (
     ACTIVATIONS,
     MlpModel,
@@ -98,13 +89,26 @@ def _check_unique(key: str, what: str, labels: list[str]) -> None:
         raise ValueError(f"{key} gives duplicate {what}: {dupes}")
 
 
-def _offset_columns(offsets_db) -> list[str]:
+def _noise_var(name: str, snr_db: float) -> float:
+    """``snr_to_noise_var`` with the config key that gave the SNR in its error."""
+    try:
+        return snr_to_noise_var(snr_db)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _offset_columns(offsets_db, snrs_db) -> list[str]:
     """The ``r_offset_<dB>`` column of each SNR offset.  Refuses, as a
-    config's ``denoise_offsets_db``, a non-finite offset and offsets that
-    would share a column."""
+    config's ``denoise_offsets_db``, a non-finite offset, offsets that
+    would share a column, and a nonzero offset whose reference at one of the
+    test SNRs ``snrs_db`` has a noise variance that overflows a float."""
     _check_finite("denoise_offsets_db", offsets_db)
     columns = [f"r_offset_{off:g}" for off in offsets_db]
     _check_unique("denoise_offsets_db", "column labels", columns)
+    for off in offsets_db:
+        if off != 0.0:
+            for snr in snrs_db:
+                _noise_var("denoise_offsets_db", snr + off)
     return columns
 
 
@@ -144,17 +148,12 @@ class ExperimentConfig:
         for name in ("angle_ranges_deg", "snr_train_db", "snr_test_db"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        for name in ("angle_ranges_deg", "snr_train_db", "snr_test_db"):
             _check_finite(name, getattr(self, name))
         for name in ("snr_train_db", "snr_test_db"):
             for snr in getattr(self, name):
-                try:
-                    sigma2 = snr_to_noise_var(snr)
-                except ValueError as exc:
-                    raise ValueError(f"{name}: {exc}") from None
-                if name == "snr_test_db" and sigma2 == 0.0:
+                if _noise_var(name, snr) == 0.0 and name == "snr_test_db":
                     raise ValueError(f"{name}: noise variance at SNR {snr:g} dB underflows to 0")
-        _offset_columns(self.denoise_offsets_db)
+        _offset_columns(self.denoise_offsets_db, self.snr_test_db)
         if self.snapshots < 1:
             raise ValueError(f"snapshots ({self.snapshots}) must be at least 1")
         if self.test_samples < self.snapshots:
@@ -665,13 +664,7 @@ class Harness:
     def _music_mse(self, cov: np.ndarray, array: ArrayConfig, truths_deg, range_idx: int):
         """MUSIC DOA MSE over a (Q, MN, MN) covariance stack of one bank."""
         grid = self.cfg.spectrum_grid(range_idx)
-        k = self.cfg.num_targets
-        un = noise_subspace(hermitian_eig(cov)[1], k)
-        steering = steering_matrix(np.deg2rad(grid_angles(grid)), array)
-        # One spectrum matmul per trial: a single (Q, MN-K, G) product
-        # raised peak memory for no CPU gain.
-        estimates = [pick_peaks(music_spectrum(u, array, grid, steering), k)[0] for u in un]
-        return doa_mse(np.vstack(estimates), truths_deg)
+        return doa_mse(music_doas(cov, array, grid, self.cfg.num_targets), truths_deg)
 
     @_memo
     def _mean_crbs(self, range_idx: int, snr_db: float) -> tuple[float, float]:
@@ -837,7 +830,7 @@ class Harness:
         cfg = self.cfg
         if offsets_db is None:
             offsets_db = cfg.denoise_offsets_db
-        columns = _offset_columns(offsets_db)
+        columns = _offset_columns(offsets_db, cfg.snr_test_db)
         matched = self._matched_sets()
         tables = {
             (r, kind): [] for r in range(len(cfg.angle_ranges_deg)) for kind in ("M2", "matched")

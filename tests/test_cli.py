@@ -137,8 +137,10 @@ def test_config_that_cannot_train_or_sweep_exits_1_before_writing(tmp_path, caps
         ("crb", "snr_test_db=-4000", "-4000 dB overflows a float"),
         ("gen-data", "snr_train_db=-4000,0,5", "-4000 dB overflows a float"),
         ("crb", "snr_test_db=4000", "4000 dB underflows to 0"),
+        ("denoise", "denoise_offsets_db=-4000", "-4005 dB overflows a float"),
+        ("sweep", "denoise_offsets_db=-4000", "-4005 dB overflows a float"),
     ],
-    ids=["test-overflow", "train-overflow", "test-zero"],
+    ids=["test-overflow", "train-overflow", "test-zero", "offset-denoise", "offset-sweep"],
 )
 def test_snr_beyond_the_float_range_exits_1_before_writing(tmp_path, capsys, verb, override, snr):
     """An SNR whose noise variance overflows, or a test SNR whose variance

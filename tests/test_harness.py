@@ -188,10 +188,12 @@ class TestConfig:
         """A training or test SNR whose noise variance overflows, and a test
         SNR whose variance is 0 (its CRB needs a positive one), are refused
         with the config; a training SNR with variance 0 trains on noiseless
-        blocks."""
+        blocks, and a denoising offset with variance 0 gives a noiseless
+        reference."""
         with pytest.raises(ValueError, match=match):
             tiny_config(tmp_path, **kw)
         tiny_config(tmp_path, snr_train_db=[-5.0, 0.0, 4000.0])
+        tiny_config(tmp_path, denoise_offsets_db=[8.0, 4000.0])
 
     @pytest.mark.parametrize("sep", [float("nan"), -3.0])
     def test_nan_or_negative_separation_rejected(self, tmp_path, sep):
@@ -672,8 +674,12 @@ class TestTrainingAndEval:
             ),
             ([float("nan")], "denoise_offsets_db must be finite, got nan"),
             ([8.0, float("inf")], "denoise_offsets_db must be finite, got inf"),
+            (
+                [8.0, -4000.0],
+                "denoise_offsets_db: noise variance at SNR -4005 dB overflows a float",
+            ),
         ],
-        ids=["colliding", "nan", "inf"],
+        ids=["colliding", "nan", "inf", "overflow"],
     )
     def test_denoise_refuses_offsets_the_config_refuses(self, tmp_path, offsets, match):
         """An explicit offset list gets the config's checks and messages,

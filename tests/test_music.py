@@ -9,10 +9,12 @@ from arrayemu.arrays import (
     steering_matrix,
     synthesize_block,
 )
+from arrayemu.cli import main
 from arrayemu.music import (
     doa_mse,
     grid_angles,
     hermitian_eig,
+    music_doas,
     music_spectrum,
     noise_subspace,
     pick_peaks,
@@ -315,6 +317,44 @@ class TestPickPeaks:
         angles, degenerate = pick_peaks(spec, 4)
         assert not degenerate
         assert np.max(np.abs(angles - np.sort(np.rad2deg(truth_rad)))) < 0.05 + 1e-9
+
+
+def per_trial_chain(covs, cfg, grid, k):
+    """MUSIC composed step by step on each covariance alone."""
+    return np.vstack([
+        pick_peaks(music_spectrum(noise_subspace(hermitian_eig(c)[1], k), cfg, grid), k)[0]
+        for c in covs
+    ])
+
+
+class TestMusicDoas:
+    @pytest.mark.parametrize("snr_db", [0.0, NOISELESS], ids=["noisy", "noiseless"])
+    def test_stack_equals_per_trial_chain(self, snr_db):
+        cfg, grid, k = ArrayConfig(2, 3), (-5.0, 30.0, 0.1), 2
+        rng = np.random.default_rng(8)
+        covs = sample_covariance(np.stack([
+            synthesize_block(*draw_scene((0, 25), k, 5.0, 40, rng=rng), cfg, snr_db, rng=rng)
+            for _ in range(6)
+        ]))
+        doas = music_doas(covs, cfg, grid, k)
+        assert doas.shape == (6, k)
+        assert np.array_equal(doas, per_trial_chain(covs, cfg, grid, k))
+
+    def test_single_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"\(Q, MN, MN\) stack, got 2 dims"):
+            music_doas(np.eye(4), ArrayConfig(2, 2), (0.0, 10.0, 0.5), 1)
+
+    def test_one_trial_stack_gives_the_demo_angles(self, capsys):
+        """The demo verb's scene, as a stack of one: the single-matrix chain's
+        angles, and the ones ``arrayemu demo`` prints."""
+        cfg, grid = ArrayConfig(2, 2), (-30.0, 40.0, 0.1)
+        rcs = draw_rcs(2, 32, rng=1234)
+        cov = sample_covariance(synthesize_block(np.deg2rad([-10.0, 20.0]), rcs, cfg, 300.0, rng=0))
+        angles = music_doas(cov[None], cfg, grid, 2)[0]
+        assert np.array_equal(angles, per_trial_chain([cov], cfg, grid, 2)[0])
+        assert main(["demo"]) == 0
+        printed = next(l for l in capsys.readouterr().out.splitlines() if "recovered" in l)
+        assert printed == "recovered angles (deg):" + "  ".join(f"{a:7.2f}" for a in angles)
 
 
 class TestDoaMse:

@@ -13,7 +13,7 @@ import pytest
 
 from arrayemu import music
 from arrayemu.arrays import ArrayConfig, draw_rcs, synthesize_block
-from arrayemu.harness import Harness
+from arrayemu.harness import ExperimentConfig, Harness
 
 SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -67,3 +67,29 @@ def test_tracer_counts_what_music_returns(spans):
     assert tracer.count(run, "music.pick_peaks.degenerate") == 1
     names = [span[0] for span in tracer.spans]
     assert names == ["music.noise_subspace", "music.music_spectrum", "music.pick_peaks"]
+
+
+def test_tracer_sees_every_music_call_of_a_bank(spans, tmp_path):
+    """``Harness._music_mse`` reaches MUSIC's steps through ``music``'s own
+    namespace, so the Tracer records one spectrum and one peak pick per
+    trial and one eigendecomposition per bank."""
+    cfg = ExperimentConfig(
+        low=ArrayConfig(2, 2), high=ArrayConfig(2, 3), angle_ranges_deg=[(0.0, 25.0)],
+        num_targets=2, snr_test_db=[0.0], test_samples=80, snapshots=20,
+        grid_step_deg=0.5, output_dir=str(tmp_path),
+    )
+    h = Harness(cfg)
+    bank = h.test_bank(0, 0.0)
+    trials = len(bank.low)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        h._music_mse(bank.high_cov, cfg.high, bank.truths_deg, 0)
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert trials == 4
+    assert names.count("music.hermitian_eig") == 1
+    assert names.count("music.music_spectrum") == names.count("music.pick_peaks") == trials
+    grid_size = music.grid_angles(cfg.spectrum_grid(0)).size
+    assert tracer.count([tracer.run_id], "music.music_spectrum.grid_points") == trials * grid_size
