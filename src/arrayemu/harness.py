@@ -70,13 +70,6 @@ def _default_snr_grid():
     return [float(s) for s in range(-16, 12, 2)]
 
 
-def _snr_tag(snr_db: float) -> int:
-    """The 32-bit tag that seeds the test bank at ``snr_db``.  hash() of a
-    float is stable across processes, but some distinct SNRs share a tag
-    (-1 and -2 dB, 0 and 0.5 dB), which ExperimentConfig refuses."""
-    return hash(float(snr_db)) & 0xFFFFFFFF
-
-
 def _check_finite(name: str, values) -> None:
     bad = [v for v in np.ravel(values) if not np.isfinite(v)]
     if bad:
@@ -206,17 +199,9 @@ class ExperimentConfig:
         tags = [self.range_tag(r) for r in range(len(self.angle_ranges_deg))]
         _check_unique("angle_ranges_deg", "range tags", tags)
         _check_unique("snr_train_db", "training set ids", self.set_ids)
-        tagged: dict[int, float] = {}
-        for snr in map(float, self.snr_test_db):
-            tag = _snr_tag(snr)
-            other = tagged.get(tag)
-            if other == snr:
+        for i, snr in enumerate(self.snr_test_db):
+            if snr in self.snr_test_db[:i]:
                 raise ValueError(f"snr_test_db repeats {snr:g} dB")
-            if other is not None:
-                raise ValueError(
-                    f"snr_test_db entries {other:g} and {snr:g} dB would seed the same test bank"
-                )
-            tagged[tag] = snr
 
     @property
     def trials(self) -> int:
@@ -513,11 +498,10 @@ class Harness:
         self._memo: dict[tuple, object] = {}
         self._cell_key: tuple | None = None
         self._cell: dict[tuple, object] = {}
-        # Index i of each nonzero SNR offset, fixed the first time this
-        # Harness asks for it: trial q's offset noise comes from spawn key
-        # (q, i) of the bank seed.  r_offset at an offset therefore depends
-        # on which offsets this Harness asked for first (ROADMAP item 3).
-        self._offset_index: dict[float, int] = {}
+        self._offsets = [off for off in cfg.denoise_offsets_db if off != 0.0]
+        # eval_model's r_offset is at the first nonzero offset (offset 0
+        # would only repeat r_e), else at 0.
+        self._eval_offset = self._offsets[0] if self._offsets else 0.0
 
     # -- paths -------------------------------------------------------------
 
@@ -624,7 +608,13 @@ class Harness:
     # -- test data ---------------------------------------------------------
 
     def _bank_seed(self, range_idx: int, snr_db: float) -> np.random.SeedSequence:
-        return self._seed(3, range_idx, _snr_tag(snr_db))
+        """Tag 3 and a whole-dB SNR as an integer (as hash() tagged it, but at
+        -1 dB, so recorded banks keep their bytes), else tag 4 and the SNR's
+        IEEE-754 words: no two SNRs share a seed."""
+        snr = float(snr_db)
+        if snr.is_integer():
+            return self._seed(3, range_idx, int(snr))
+        return self._seed(4, range_idx, *np.array([snr], dtype="<f8").view("<u4"))
 
     @_cell_memo
     def test_bank(self, range_idx: int, snr_db: float) -> _Bank:
@@ -642,14 +632,15 @@ class Harness:
         return _Bank(angles, rcs, low, high_cov)
 
     @_cell_memo
-    def _ref_cov(self, range_idx: int, snr_db: float, offset_db: float) -> np.ndarray:
+    def _offset_cov(self, range_idx: int, snr_db: float, offset_db: float) -> np.ndarray:
         """Covariance stack of the actual high array, the reference of r_e and
         r_offset: the bank's own high covariances at offset 0, else those of
-        the same scenes re-synthesized at snr + offset with fresh noise."""
+        the same scenes re-synthesized at snr + offset, trial q's noise from
+        spawn key (q, i) of the bank seed, i the offset's index in _offsets."""
         bank = self.test_bank(range_idx, snr_db)
         if offset_db == 0.0:
             return bank.high_cov
-        i = self._offset_index.setdefault(offset_db, len(self._offset_index))
+        i = self._offsets.index(offset_db)
         entropy = self._bank_seed(range_idx, snr_db).entropy
         covs = np.empty_like(bank.high_cov)
         for q in range(len(covs)):
@@ -684,7 +675,7 @@ class Harness:
         cfg = self.cfg
         bank = self.test_bank(range_idx, snr_db)
         low_cov = sample_covariance(bank.low)
-        high_cov = self._ref_cov(range_idx, snr_db, 0.0)
+        high_cov = self._offset_cov(range_idx, snr_db, 0.0)
         return {
             "mse_low": self._music_mse(low_cov, cfg.low, bank.truths_deg, range_idx),
             "mse_high": self._music_mse(high_cov, cfg.high, bank.truths_deg, range_idx),
@@ -710,15 +701,9 @@ class Harness:
         truths = self.test_bank(range_idx, snr_db).truths_deg
         return {
             "mse": self._music_mse(pred, self.cfg.high, truths, range_idx),
-            "r_e": cov_error(self._ref_cov(range_idx, snr_db, 0.0), pred),
-            "r_offset": cov_error(self._ref_cov(range_idx, snr_db, self._eval_offset), pred),
+            "r_e": cov_error(self._offset_cov(range_idx, snr_db, 0.0), pred),
+            "r_offset": cov_error(self._offset_cov(range_idx, snr_db, self._eval_offset), pred),
         }
-
-    @property
-    def _eval_offset(self) -> float:
-        """The SNR offset whose r_offset eval_model records: the first nonzero
-        entry of denoise_offsets_db (offset 0 would only repeat r_e), else 0."""
-        return next((off for off in self.cfg.denoise_offsets_db if off != 0.0), 0.0)
 
     # -- protocol cases ----------------------------------------------------
 
@@ -826,11 +811,15 @@ class Harness:
     def denoise_analysis(self, offsets_db=None) -> list[dict]:
         """Covariance fidelity of the M2-trained and matched-SNR models,
         with the plain and SNR-offset references, per test SNR.  Rows come
-        range by range, the M2 rows of a range before its matched rows."""
+        range by range, the M2 rows of a range before its matched rows.
+        ``offsets_db`` may hold 0 and the offsets denoise_offsets_db lists."""
         cfg = self.cfg
         if offsets_db is None:
             offsets_db = cfg.denoise_offsets_db
         columns = _offset_columns(offsets_db, cfg.snr_test_db)
+        for off in offsets_db:
+            if off != 0.0 and off not in self._offsets:
+                raise ValueError(f"denoise_offsets_db does not list offset {off:g} dB")
         matched = self._matched_sets()
         tables = {
             (r, kind): [] for r in range(len(cfg.angle_ranges_deg)) for kind in ("M2", "matched")
@@ -846,7 +835,7 @@ class Harness:
                 if new:
                     pred = self._predicted_covs(r, sid, snr)
                     known.update(
-                        (off, cov_error(self._ref_cov(r, snr, off), pred)) for off in new
+                        (off, cov_error(self._offset_cov(r, snr, off), pred)) for off in new
                     )
                 row = {
                     "angle_range": cfg.range_tag(r),

@@ -122,6 +122,11 @@ def music_spectrum(un: np.ndarray, cfg: ArrayConfig, grid, steering=None) -> Spe
     un = np.asarray(un, dtype=complex)
     if un.ndim != 2 or un.shape[1] < 1:
         raise ValueError("noise subspace must have at least one column")
+    if un.shape[0] != cfg.virtual_size:
+        raise ValueError(
+            f"noise subspace has {un.shape[0]} rows but the {cfg.tx_count}x{cfg.rx_count} "
+            f"array has {cfg.virtual_size} virtual elements"
+        )
     if steering is None:
         steering = steering_matrix(np.deg2rad(grid_deg), cfg)
     elif steering.shape != (cfg.virtual_size, grid_deg.size):

@@ -229,7 +229,7 @@ def reference_synthesize_block(angles_rad, rcs, cfg, snr_db, rng):
 def reference_offset_covs(bank_entropy, angles_rad, rcs, cfg, snr_db, offset_index):
     """High-array covariances of a test bank's scenes re-synthesized at
     ``snr_db`` in the spawn() layout of SNR-offset noise: at the i-th
-    nonzero offset a Harness asks for, trial q of Q draws its noise from
+    nonzero entry of denoise_offsets_db, trial q of Q draws its noise from
     ``ss.spawn(Q)[q].spawn(i + 1)[i]``, ``ss`` being the bank's seed
     sequence, rebuilt here from ``bank_entropy``.  Returns a (Q, MN, MN)
     stack of (y yᴴ / P + its conjugate transpose) / 2."""

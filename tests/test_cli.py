@@ -2,11 +2,13 @@ import csv
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 from arrayemu import harness, network
 from arrayemu.cli import main
 from arrayemu.harness import CASES
+from openblas_lib import openblas_kernel
 
 
 def write_tiny_config(tmp_path):
@@ -344,6 +346,11 @@ RECORDED_DIGESTS = {
     "results/sweep_raw_high.csv": "47fcb3f9fb44ee159913b66def7aa096a075e9e83df0428d30dcdde1debe850f",
     "results/sweep_raw_low.csv": "d80d1ec2fea792db7edbc51dc250c7df19b860413274b13e473aa5114cf1ae58",
 }
+# The OpenBLAS kernel and numpy the digests were recorded with.  gemm's last
+# bits differ between kernels, and the difference reaches every later file:
+# under the AVX2 Haswell kernel 29 of the 30 files change.
+RECORDED_KERNEL = "SkylakeX"
+RECORDED_NUMPY = "2.4.6"
 
 
 def test_every_verb_writes_the_recorded_bytes(tmp_path):
@@ -377,4 +384,7 @@ def test_every_verb_writes_the_recorded_bytes(tmp_path):
         for name, digest in sorted(RECORDED_DIGESTS.items())
         if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
     ]
-    assert changed == [], f"files whose bytes changed: {changed}"
+    assert changed == [], (
+        f"recorded under OpenBLAS {RECORDED_KERNEL} with numpy {RECORDED_NUMPY}, running "
+        f"{openblas_kernel()} with numpy {np.__version__}; files whose bytes changed: {changed}"
+    )

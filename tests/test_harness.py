@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import os
 import tracemalloc
 import weakref
@@ -132,8 +133,30 @@ class TestConfig:
             tiny_config(tmp_path, snr_train_db=[1.0, 1.0000001, 5.0])
 
     def test_default_test_snrs_seed_distinct_banks(self):
-        snrs = ExperimentConfig().snr_test_db
-        assert len({harness_module._snr_tag(s) for s in snrs}) == len(snrs)
+        h = Harness(ExperimentConfig())
+        snrs = h.cfg.snr_test_db
+        assert len({tuple(h._bank_seed(0, s).entropy) for s in snrs}) == len(snrs)
+
+    @pytest.mark.parametrize("range_idx", [0, 1, 2])
+    def test_whole_db_banks_keep_the_seed_hash_gave(self, range_idx):
+        """The test SNRs of the default grid (which holds every perfbench and
+        acceptance test SNR) and of the tiny configs keep the hash() tag
+        they were recorded with; -1 dB is the one whole dB whose tag moved."""
+        h = Harness(ExperimentConfig(seed=7))
+        for snr in [*h.cfg.snr_test_db, -5.0, 5.0]:
+            entropy = h._bank_seed(range_idx, snr).entropy
+            assert entropy == [7, 3, range_idx, hash(float(snr)) & 0xFFFFFFFF]
+        assert h._bank_seed(range_idx, -1.0).entropy == [7, 3, range_idx, 0xFFFFFFFF]
+        assert h._bank_seed(range_idx, 0.5).entropy == [7, 4, range_idx, 0, 0x3FE00000]
+
+    def test_test_snrs_that_shared_a_hash_tag_build_distinct_banks(self, tmp_path):
+        """-2 and -1 dB, and 0 and 0.5 dB, share a hash() tag, yet each test
+        SNR draws its own scenes."""
+        cfg = tiny_config(tmp_path, snr_test_db=[-2.0, -1.0, 0.0, 0.5, 5.0])
+        h = Harness(cfg)
+        angles = [h.test_bank(0, snr).angles_rad for snr in cfg.snr_test_db]
+        for a, b in itertools.combinations(angles, 2):
+            assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize(
         "kw, match",
@@ -146,23 +169,16 @@ class TestConfig:
                 dict(denoise_offsets_db=[8.0, 8.0000001]),
                 "denoise_offsets_db gives duplicate column labels: \\['r_offset_8'\\]",
             ),
-            (
-                dict(snr_test_db=[5.0, -2.0, -1.0]),
-                "snr_test_db entries -2 and -1 dB would seed the same test bank",
-            ),
-            (
-                dict(snr_test_db=[0.0, 5.0, 0.5]),
-                "snr_test_db entries 0 and 0.5 dB would seed the same test bank",
-            ),
+            (dict(snr_test_db=[5.0, -1.0, -1.0]), "snr_test_db repeats -1 dB"),
+            (dict(snr_test_db=[0.5, 5.0, 0.5]), "snr_test_db repeats 0.5 dB"),
             (dict(snr_test_db=[0.0, 0.0, 5.0]), "snr_test_db repeats 0 dB"),
         ],
     )
     def test_colliding_labels_rejected(self, tmp_path, kw, match):
         """Two ranges with one tag would share every dataset and model file,
-        two offsets with one label would share one denoise.csv column, and
-        two test SNRs with one bank-seed tag (a 32-bit tag of hash(snr))
-        would share every scene and noise draw; a repeated test SNR would
-        repeat its rows in every table."""
+        two offsets with one label would share one denoise.csv column, and a
+        repeated test SNR, whole dB or not, would repeat its rows in every
+        table."""
         with pytest.raises(ValueError, match=match):
             tiny_config(tmp_path, **kw)
 
@@ -692,6 +708,17 @@ class TestTrainingAndEval:
         with pytest.raises(ValueError, match=match):
             tiny_config(out, denoise_offsets_db=offsets)
 
+    def test_denoise_refuses_an_offset_the_config_does_not_list(self, tmp_path, monkeypatch):
+        """A nonzero offset's noise stream is keyed on its position in
+        denoise_offsets_db, so an offset missing there is named before any
+        bank is built."""
+        out = tmp_path / "exp"
+        h = Harness(tiny_config(out))
+        calls = count_calls(monkeypatch, "synthesize_pair")
+        with pytest.raises(ValueError, match="denoise_offsets_db does not list offset 20 dB"):
+            h.denoise_analysis([8.0, 20.0])
+        assert calls == [] and not out.exists()
+
     @pytest.mark.parametrize("table", ["best_train_snr_grid", "denoise_analysis"])
     def test_tables_run_no_raw_music(self, harness, monkeypatch, table):
         """The grid and denoising tables print no raw-array column, so a fresh
@@ -779,32 +806,39 @@ class TestMemo:
         """Leaving a cell drops its bank and offset references; coming back
         rebuilds them from their seeds with the same bytes."""
         h = Harness(tiny_config(tmp_path))
-        first, ref = h.test_bank(0, 0.0), h._ref_cov(0, 0.0, 8.0)
+        first, ref = h.test_bank(0, 0.0), h._offset_cov(0, 0.0, 8.0)
         h.test_bank(0, 5.0)
         again = h.test_bank(0, 0.0)
         assert again is not first
         for f in fields(first):
             assert np.array_equal(getattr(again, f.name), getattr(first, f.name))
-        assert np.array_equal(h._ref_cov(0, 0.0, 8.0), ref)
+        assert np.array_equal(h._offset_cov(0, 0.0, 8.0), ref)
 
     def test_offset_references_follow_the_spawn_layout(self, tmp_path):
-        """Trial q's noise at the i-th nonzero offset a Harness asks for is
-        that of the bank seed's spawn(Q)[q].spawn(i + 1)[i].  The index
-        belongs to the Harness: a cell that asks for 4 dB first still uses
-        the index 4 dB got in another cell."""
-        cfg = tiny_config(tmp_path)
+        """Trial q's noise at the i-th nonzero entry of denoise_offsets_db is
+        that of the bank seed's spawn(Q)[q].spawn(i + 1)[i] in every cell,
+        here asked for in the reverse order."""
+        cfg = tiny_config(tmp_path, denoise_offsets_db=[0.0, 12.0, 8.0, 4.0])
         h = Harness(cfg)
 
         def expected(snr, offset, i):
             bank = h.test_bank(0, snr)
-            entropy = [cfg.seed, 3, 0, hash(snr) & 0xFFFFFFFF]
             return reference_offset_covs(
-                entropy, bank.angles_rad, bank.rcs, cfg.high, snr + offset, i
+                [cfg.seed, 3, 0, int(snr)], bank.angles_rad, bank.rcs, cfg.high, snr + offset, i
             )
 
-        for i, offset in enumerate([12.0, 8.0, 4.0]):
-            assert np.array_equal(h._ref_cov(0, 0.0, offset), expected(0.0, offset, i))
-        assert np.array_equal(h._ref_cov(0, 5.0, 4.0), expected(5.0, 4.0, 2))
+        for i, offset in reversed(list(enumerate([12.0, 8.0, 4.0]))):
+            assert np.array_equal(h._offset_cov(0, 0.0, offset), expected(0.0, offset, i))
+        assert np.array_equal(h._offset_cov(0, 5.0, 4.0), expected(5.0, 4.0, 2))
+
+    def test_offset_references_do_not_depend_on_request_order(self, tmp_path):
+        """Two fresh Harnesses asking for 12 then 8 dB and for 8 then 12 dB
+        get the same references."""
+        cfg = tiny_config(tmp_path)
+        first, second = Harness(cfg), Harness(cfg)
+        refs = {off: first._offset_cov(0, 0.0, off) for off in (12.0, 8.0)}
+        for off in (8.0, 12.0):
+            assert np.array_equal(second._offset_cov(0, 0.0, off), refs[off])
 
     def test_one_harness_gives_the_rows_of_a_fresh_harness_per_table(self, tmp_path):
         """Tables that share one Harness, and so rebuild banks they left,
@@ -892,7 +926,7 @@ class TestStackedMusic:
     def test_eval_raw_keeps_the_bank_mses(self, music_harness, monkeypatch):
         h, bank, blocks = recorded_bank(monkeypatch, music_harness.cfg, 0.0)
         raw = h.eval_raw(0, 0.0)
-        assert h._ref_cov(0, 0.0, 0.0) is bank.high_cov
+        assert h._offset_cov(0, 0.0, 0.0) is bank.high_cov
         grid, k = h.cfg.spectrum_grid(0), h.cfg.num_targets
         for side in ("low", "high"):
             array, data = getattr(h.cfg, side), blocks[side]

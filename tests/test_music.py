@@ -344,6 +344,12 @@ class TestMusicDoas:
         with pytest.raises(ValueError, match=r"\(Q, MN, MN\) stack, got 2 dims"):
             music_doas(np.eye(4), ArrayConfig(2, 2), (0.0, 10.0, 0.5), 1)
 
+    def test_covariances_of_another_array_rejected(self):
+        with pytest.raises(
+            ValueError, match="noise subspace has 16 rows but the 8x8 array has 64 virtual elements"
+        ):
+            music_doas(np.eye(16)[None], ArrayConfig(8, 8), (0, 10, 0.5), 2)
+
     def test_one_trial_stack_gives_the_demo_angles(self, capsys):
         """The demo verb's scene, as a stack of one: the single-matrix chain's
         angles, and the ones ``arrayemu demo`` prints."""

@@ -5,7 +5,9 @@ Installing each hook here turns a renamed or deleted target into a test
 failure instead of failed benchmark operations.
 """
 
+import importlib
 import importlib.util
+import json
 import pathlib
 
 import numpy as np
@@ -15,7 +17,8 @@ from arrayemu import music
 from arrayemu.arrays import ArrayConfig, draw_rcs, synthesize_block
 from arrayemu.harness import ExperimentConfig, Harness
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -93,3 +96,21 @@ def test_tracer_sees_every_music_call_of_a_bank(spans, tmp_path):
     assert names.count("music.music_spectrum") == names.count("music.pick_peaks") == trials
     grid_size = music.grid_angles(cfg.spectrum_grid(0)).size
     assert tracer.count([tracer.run_id], "music.music_spectrum.grid_points") == trials * grid_size
+
+
+def test_every_per_layer_metric_names_a_function_or_method():
+    """``<layer>.<name>.<stat>`` in BENCHMARK.json reads the spans of
+    ``arrayemu.<layer>.<name>``, or of ``Harness.<name>`` for the harness
+    layer; a name that is neither would read 0 in every run.  The tracer's
+    own ``trace.*`` figures and each layer's ``self_s`` name no function."""
+    unknown = []
+    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]:
+        layer, *rest = metric["name"].split(".")
+        if layer == "trace" or len(rest) < 2:
+            continue
+        owners = [importlib.import_module(f"arrayemu.{layer}")]
+        if layer == "harness":
+            owners.append(Harness)
+        if not any(callable(getattr(owner, rest[0], None)) for owner in owners):
+            unknown.append(metric["name"])
+    assert unknown == []
