@@ -36,6 +36,7 @@ from .network import (
     MlpModel,
     TrainConfig,
     atomic_write,
+    expect_end,
     load_model,
     predict,
     read_block,
@@ -351,6 +352,7 @@ def read_dataset(path):
         labels = read_block(f, (samples,), path, "dataset", "<f4")
         inputs = read_block(f, (samples, in_dim), path, "dataset")
         targets = read_block(f, (samples, out_dim), path, "dataset")
+        expect_end(f, path, "dataset")
     return labels, inputs, targets
 
 

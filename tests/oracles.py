@@ -124,24 +124,30 @@ def brute_spectrum(un: np.ndarray, m: int, n: int, spacing: float, grid_deg: np.
 
 
 def reference_train(inputs, targets, cfg, seed, output_activation):
-    """The training loop in its plain form: one out-of-place Adam update per
-    parameter array and a full training-split pass after every epoch.
+    """The training loop in its plain form: out-of-place min-max
+    normalization of the whole set, one out-of-place Adam update per
+    parameter array, an out-of-place forward pass for the losses and a full
+    training-split pass after every epoch.
 
-    Shares the library's split, normalization, initialization and backward
-    pass, so the result must equal ``network.train``'s bit for bit.  Returns
+    Shares only the library's split, initialization and backward pass, so
+    the result must equal ``network.train``'s bit for bit.  Returns
     (weights, biases, history).
     """
-    from arrayemu.network import (
-        default_layer_dims,
-        init_model,
-        minmax_apply,
-        minmax_fit,
-        mlp_backward,
-        mlp_forward,
-    )
+    from arrayemu.network import default_layer_dims, init_model, mlp_backward
+
+    def normalize(data, fit):
+        lo = fit.min(axis=1, keepdims=True)
+        span = fit.max(axis=1, keepdims=True) - lo
+        safe = np.where(span > 0, span, 1.0)
+        return np.where(span > 0, (data - lo) / safe, 0.0)
 
     def mse(x, t):
-        return float(np.mean((mlp_forward(model, x)[0] - t) ** 2))
+        a = x
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            a = w @ a + b[:, None]
+            if i < n_w - 1 or output_activation == "relu":
+                a = np.maximum(a, 0.0)
+        return float(np.mean((a - t) ** 2))
 
     x = np.asarray(inputs, dtype=float)
     t = np.asarray(targets, dtype=float)
@@ -152,10 +158,8 @@ def reference_train(inputs, targets, cfg, seed, output_activation):
     n_val = int(round(cfg.split[1] * n))
     idx_train = order[:n_train]
     idx_val = order[n_train : n_train + n_val]
-    norm_in = minmax_fit(x[:, idx_train])
-    norm_out = minmax_fit(t[:, idx_train])
-    xn = minmax_apply(x, norm_in)
-    tn = minmax_apply(t, norm_out)
+    xn = normalize(x, x[:, idx_train])
+    tn = normalize(t, t[:, idx_train])
     x_tr, t_tr = xn[:, idx_train], tn[:, idx_train]
     x_val, t_val = xn[:, idx_val], tn[:, idx_val]
     model = init_model(default_layer_dims(x.shape[0], t.shape[0]), output_activation, rng)

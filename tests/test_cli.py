@@ -166,6 +166,30 @@ def test_train_on_dataset_cut_in_header_exits_1(tmp_path, capsys):
     assert "snr_0.dset: truncated dataset file" in err
 
 
+@pytest.mark.parametrize("kind", ["dataset", "model"])
+def test_file_with_trailing_bytes_exits_1(tmp_path, capsys, kind):
+    """A dataset that ``train`` reads, or a model that ``eval`` loads, with
+    4 bytes after its last block is refused, naming the file."""
+    cfg = write_tiny_config(tmp_path)
+    folder = tmp_path / "out" / f"{kind}s" / "range_0_25"
+    folder.mkdir(parents=True)
+    if kind == "dataset":
+        path = folder / "snr_0.dset"
+        harness.write_dataset(path, np.zeros(3, np.float32), np.ones((3, 8)), np.ones((3, 12)))
+        verb = ["train"]
+    else:
+        path = folder / "snr_0.mlp"
+        model = network.init_model([8, 8, 8, 12, 12], "linear", 0)
+        model.norm_in, model.norm_out = np.ones((8, 2)), np.ones((12, 2))
+        network.save_model(model, path)
+        verb = ["eval", "--train-set", "snr_0"]
+    path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+    assert main([*verb, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"arrayemu: error: {path}: trailing bytes after the {kind} file's last block\n"
+    )
+
+
 def test_workers_is_an_unknown_config_key(tmp_path):
     cfg = write_tiny_config(tmp_path)
     assert main(["crb", "--config", str(cfg), "--set", "workers=2"]) == 2

@@ -424,6 +424,14 @@ class TestDatasetFiles:
             read_dataset(path)
 
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.dset"
+        write_dataset(path, np.zeros(2, dtype=np.float32), np.ones((2, 4)), np.ones((2, 6)))
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(ValueError, match=f"^{path}: trailing bytes after the dataset"):
+            read_dataset(path)
+
+
 class FailingWrites:
     """Stands in for ``open``: the opened file's ``fail_at``-th write raises,
     as a full disk would, after the earlier writes reached the file."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -265,13 +267,32 @@ class TestTrain:
         _, h2 = train(x, t, cfg, 5, "linear")
         assert h1 == h2
 
-    @pytest.mark.parametrize("activation", ["linear", "relu"])
-    def test_bit_identical_to_reference_loop(self, activation):
-        """One flat in-place Adam buffer reproduces per-array out-of-place
-        Adam exactly; the last batch of each epoch is a short one."""
+    @pytest.mark.parametrize(
+        "case, activation",
+        [
+            pytest.param(case, act, id=act if case == "feature_major" else f"{case}-{act}")
+            for case in ("feature_major", "sample_major", "constant_on_train")
+            for act in ("linear", "relu")
+        ],
+    )
+    def test_bit_identical_to_reference_loop(self, case, activation):
+        """One flat in-place Adam buffer, batches normalized in place as they
+        are gathered and an in-place validation pass reproduce out-of-place
+        normalization, forward and Adam exactly; the last batch of each
+        epoch is a short one.  ``sample_major`` passes F-ordered views of
+        (samples, features) arrays, as ``Harness.train_set`` does;
+        ``constant_on_train`` makes an input and a target feature constant
+        over the training columns only, so the validation columns of both
+        must still map to 0."""
         rng = np.random.default_rng(21)
         x = rng.standard_normal((6, 530))
         t = np.vstack([x[:3] * x[3:], np.tanh(x)])
+        if case == "sample_major":
+            x, t = np.ascontiguousarray(x.T).T, np.ascontiguousarray(t.T).T
+        elif case == "constant_on_train":
+            idx_train = np.random.default_rng(9).permutation(530)[:318]
+            x[4, idx_train] = 0.75
+            t[2, idx_train] = -1.5
         cfg = TrainConfig(epochs=4, batch_size=48, split=(0.6, 0.2, 0.2))
         model, history = train(x, t, cfg, 9, activation)
         ref_w, ref_b, ref_history = reference_train(x, t, cfg, 9, activation)
@@ -297,6 +318,27 @@ class TestTrain:
         for epoch, value in enumerate(history["train"]):
             assert np.isfinite(value)
             assert value == np.mean(losses[epoch * per_epoch : (epoch + 1) * per_epoch])
+
+    def test_peak_memory_below_the_dataset(self):
+        """Nothing of the dataset's size is copied whole: the statistics
+        come from one throwaway gather at a time (at most the targets'
+        training columns, 0.6 of the dataset here), batches are normalized
+        as gathered, and the validation pass holds the validation copy
+        (0.25) and two layers' activations.  A normalized training copy
+        with the validation copy is the dataset's size already, so the
+        bound fails on it; train measured 0.70 of the dataset here and
+        2.1 when it kept such a copy."""
+        data = np.random.default_rng(0).standard_normal((20_000, 32 + 128))
+        x, t = data[:, :32].T, data[:, 32:].T
+        cfg = TrainConfig(epochs=1, batch_size=120, split=(0.75, 0.25, 0.0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train(x, t, cfg, 3, "linear")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes
 
     def test_dataset_smaller_than_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -359,6 +401,54 @@ class TestTrain:
             train(np.ones((2, 3)), np.ones((2, 3)), cfg, 0, "linear")
 
 
+class TestCallerArraysKept:
+    """The in-place maps work on copies the library owns: each caller
+    array comes back bit-equal."""
+
+    @staticmethod
+    def frozen(*arrays):
+        return [(a, a.copy()) for a in arrays]
+
+    @staticmethod
+    def assert_kept(pairs):
+        for got, want in pairs:
+            assert np.array_equal(got, want)
+
+    def test_train(self):
+        rng = np.random.default_rng(30)
+        x = rng.standard_normal((4, 200))
+        t = np.ascontiguousarray(rng.standard_normal((200, 6))).T
+        kept = self.frozen(x, t)
+        cfg = TrainConfig(epochs=2, batch_size=20, split=(0.75, 0.25, 0.0))
+        for activation in ("linear", "relu"):
+            train(x, t, cfg, 0, activation)
+        self.assert_kept(kept)
+
+    @pytest.mark.parametrize("activation", ["linear", "relu"])
+    def test_mlp_forward(self, activation):
+        model = init_model([3, 5, 2], activation, 0)
+        x = np.random.default_rng(31).standard_normal((3, 7))
+        kept = self.frozen(x, *model.weights, *model.biases)
+        mlp_forward(model, x)
+        self.assert_kept(kept)
+
+    def test_minmax_apply_and_invert(self):
+        data = np.random.default_rng(32).standard_normal((3, 9))
+        stats = np.array([[-1.0, 1.0], [2.0, 2.0], [0.0, 0.5]])
+        kept = self.frozen(data, stats)
+        minmax_apply(data, stats)
+        minmax_invert(data, stats)
+        self.assert_kept(kept)
+
+    def test_predict(self):
+        model = TestPredict._trained_identity_model()
+        rng = np.random.default_rng(33)
+        block = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
+        kept = self.frozen(block, model.norm_in, model.norm_out)
+        predict(model, block, ArrayConfig(1, 2))
+        self.assert_kept(kept)
+
+
 class TestModelAndTrainConfig:
     def test_non_finite_weight_rejected(self):
         model = init_model([2, 3, 2], "linear", rng=0)
@@ -393,7 +483,8 @@ class TestModelAndTrainConfig:
 
 
 class TestPredict:
-    def _trained_identity_model(self):
+    @staticmethod
+    def _trained_identity_model():
         rng = np.random.default_rng(9)
         x = rng.uniform(-1, 1, size=(4, 600))
         cfg = TrainConfig(epochs=120, batch_size=32, split=(0.75, 0.25, 0.0))
@@ -481,6 +572,12 @@ class TestSerialization:
         model, _ = train(x, x, cfg, 0, "linear")
         save_model(model, path)
         return path.read_bytes()
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.mlp"
+        path.write_bytes(self.saved_model(path) + b"\0\0\0\0")
+        with pytest.raises(ValueError, match=f"^{path}: trailing bytes after the model"):
+            load_model(path)
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "cut.mlp"
