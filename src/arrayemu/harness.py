@@ -383,6 +383,8 @@ class SweepResult:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, np.generic):
+        value = value.item()
     if isinstance(value, bool):
         return str(int(value))
     if isinstance(value, float):
@@ -453,8 +455,8 @@ class _Bank:
 
 
 def _memo(method):
-    """Cache a Harness method's small result (a model, an evaluation dict, a
-    CRB pair) in its instance's ``_memo`` for the life of the instance, keyed
+    """Cache a Harness method's small result (an evaluation dict, a CRB
+    pair) in its instance's ``_memo`` for the life of the instance, keyed
     by the method name and positional arguments (so 0 and 0.0 share an
     entry).  The cache dies with the instance; ``functools.cache`` on a
     method would keep every Harness alive."""
@@ -490,10 +492,12 @@ def _cell_memo(method):
 class Harness:
     """Runs the protocol of an ExperimentConfig.
 
-    Models and per-(set, SNR) evaluation results are memoized for the life
-    of the instance.  Test banks and their reference covariances are large,
-    so the instance holds those of one (range, test SNR) cell at a time; a
-    table walks the cells in ``_cells()`` order and visits each once."""
+    Per-(set, SNR) evaluation results and CRB averages are memoized for the
+    life of the instance.  Models are read from their files at each use and
+    dropped after it, since a load is cheap beside one evaluation.  Test banks
+    and their reference covariances are large, so the instance holds those
+    of one (range, test SNR) cell at a time; a table walks the cells in
+    ``_cells()`` order and visits each once."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -601,9 +605,10 @@ class Harness:
         save_model(model, self.model_path(range_idx, set_id))
         return model
 
-    @_memo
     def ensure_model(self, range_idx: int, set_id: str) -> MlpModel:
-        """The set's model file if there is one, else a freshly trained model."""
+        """The set's model file if there is one, else a freshly trained model.
+        Not memoized: a load costs far less than one evaluation with the
+        model, so a ``Harness`` keeps no model between uses."""
         path = self.model_path(range_idx, set_id)
         return load_model(path) if os.path.exists(path) else self.train_set(range_idx, set_id)
 
@@ -685,7 +690,7 @@ class Harness:
 
     def _predicted_covs(self, range_idx: int, set_id: str, snr_db: float) -> np.ndarray:
         """Covariance stack of the emulated high-array blocks of every trial
-        of a test bank; the blocks themselves are not kept."""
+        of a test bank; neither the blocks nor the model are kept."""
         model = self.ensure_model(range_idx, set_id)
         bank = self.test_bank(range_idx, snr_db)
         covs = np.empty_like(bank.high_cov)

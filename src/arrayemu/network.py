@@ -12,6 +12,7 @@ so a snapshot block stacks directly into a batch of columns.
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -456,13 +457,18 @@ def atomic_write(path):
 
 def read_block(f, shape, path, kind: str, dtype: str = "<f8") -> np.ndarray:
     """Read one little-endian array of ``shape`` from the open file ``f``;
-    a short read raises ``ValueError("<path>: truncated <kind> file")``."""
-    out = np.empty(shape, dtype=dtype)
-    # Read straight into the array's bytes: a 0-d or structured array too
-    # is one flat run of unsigned bytes.
-    if f.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
-        raise ValueError(f"{path}: truncated {kind} file")
-    return out
+    a block longer than the rest of the file, or a short read, raises
+    ``ValueError("<path>: truncated <kind> file")``."""
+    # The block's size in Python ints, checked before anything is allocated,
+    # so a corrupt header cannot ask for more memory than the file holds.
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    if nbytes <= os.fstat(f.fileno()).st_size - f.tell():
+        out = np.empty(shape, dtype=dtype)
+        # Read straight into the array's bytes: a 0-d or structured array
+        # too is one flat run of unsigned bytes.
+        if f.readinto(out.reshape(-1).view(np.uint8)) == nbytes:
+            return out
+    raise ValueError(f"{path}: truncated {kind} file")
 
 
 def expect_end(f, path, kind: str) -> None:

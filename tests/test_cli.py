@@ -190,6 +190,19 @@ def test_file_with_trailing_bytes_exits_1(tmp_path, capsys, kind):
     )
 
 
+def test_model_header_beyond_the_file_exits_1(tmp_path, capsys):
+    """A model file whose header declares 2**30 x 2**30 weights (16 GiB) is
+    one truncation error line, not an allocation failure's traceback."""
+    cfg = write_tiny_config(tmp_path)
+    folder = tmp_path / "out" / "models" / "range_0_25"
+    folder.mkdir(parents=True)
+    path = folder / "snr_0.mlp"
+    header = np.array([network.MODEL_VERSION, 2, 2**30, 2**30], dtype="<u4").tobytes()
+    path.write_bytes(network.MODEL_MAGIC + header + b"\0" + bytes(64))
+    assert main(["eval", "--config", str(cfg), "--train-set", "snr_0"]) == 1
+    assert capsys.readouterr().err == f"arrayemu: error: {path}: truncated model file\n"
+
+
 def test_workers_is_an_unknown_config_key(tmp_path):
     cfg = write_tiny_config(tmp_path)
     assert main(["crb", "--config", str(cfg), "--set", "workers=2"]) == 2

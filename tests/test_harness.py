@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import os
 import tracemalloc
+import types
 import weakref
 from dataclasses import fields, is_dataclass
 
@@ -29,7 +30,7 @@ from arrayemu.harness import (
 from arrayemu import harness as harness_module
 from arrayemu import network
 from arrayemu.music import sample_covariance
-from arrayemu.network import TrainConfig, predict, save_model, train
+from arrayemu.network import MlpModel, TrainConfig, predict, save_model, train
 
 from oracles import reference_music_mse, reference_offset_covs
 
@@ -99,6 +100,20 @@ def leaf_fields(value, prefix=""):
 
 def file_hash(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def reachable(root):
+    """Every object reachable from ``root`` through its references, short of
+    classes, modules and functions."""
+    seen, stack = set(), [root]
+    skip = (type, types.ModuleType, types.FunctionType, types.MethodType)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        yield obj
+        stack.extend(gc.get_referents(obj))
 
 
 def count_calls(monkeypatch, name):
@@ -423,6 +438,24 @@ class TestDatasetFiles:
         with pytest.raises(ValueError, match="truncated dataset file"):
             read_dataset(path)
 
+
+    def test_oversized_header_refused_before_allocating(self, tmp_path):
+        """A header declaring 2**40 samples (4 TiB of labels alone) is a
+        truncated file, refused without allocating what it declares."""
+        path = tmp_path / "huge.dset"
+        write_dataset(path, np.zeros(2, dtype=np.float32), np.ones((2, 4)), np.ones((2, 6)))
+        data = bytearray(path.read_bytes())
+        samples = slice(len(DATASET_MAGIC) + 4, len(DATASET_MAGIC) + 12)
+        data[samples] = (2**40).to_bytes(8, "little")
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{path}: truncated dataset file$"):
+                read_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.dset"
@@ -866,6 +899,76 @@ class TestMemo:
         together = [repr(table(shared)) for table in tables]
         assert together == [repr(table(Harness(cfg))) for table in tables]
 
+    def test_no_model_is_kept_after_best_of_all(self, two_range_harness):
+        """best_of_all reads every model of both ranges, and none of them is
+        reachable from the Harness afterwards."""
+        h = Harness(two_range_harness.cfg)
+        h.run_case_sweep("best_of_all")
+        assert h._memo and h._cell
+        assert not any(isinstance(obj, MlpModel) for obj in reachable(h))
+
+    def test_each_computing_eval_model_loads_its_model_once(self, harness, monkeypatch):
+        """A model is read for every eval_model that predicts, and for every
+        further offset denoise_analysis predicts for, never on a memo hit."""
+        for sid in harness.cfg.set_ids:
+            harness.ensure_model(0, sid)
+        h = Harness(harness.cfg)
+        loads = count_calls(monkeypatch, "load_model")
+        first = h.eval_model(0, "snr_0", 0.0)
+        assert len(loads) == 1
+        assert h.eval_model(0, "snr_0", 0) is first
+        assert len(loads) == 1
+        h.run_case_sweep("best_of_all")
+        evals = [key for key in h._memo if key[0] == "eval_model"]
+        assert len(evals) == len(h.cfg.set_ids) * len(h.cfg.snr_test_db)
+        assert len(loads) == len(evals)
+        h.run_case_sweep("best_of_all")
+        assert len(loads) == len(evals)
+
+        loads.clear()
+        # Offset 12 dB is not the eval offset (8 dB), so each of the two
+        # models of a cell predicts once more for it.
+        Harness(harness.cfg).denoise_analysis([12.0])
+        assert len(loads) == 2 * 2 * len(harness.cfg.snr_test_db)
+
+    def test_held_memory_does_not_grow_by_a_range_of_models(self, tmp_path):
+        """What a Harness still holds after best_of_all grows from one angle
+        range to two by less than one model's bytes.  The second range adds
+        only small memo entries (3 cells of eval dicts and CRB pairs, about
+        7 kB), and the resident cell has the same shapes in both; a Harness
+        that kept the models it read would grow by 5 of them.  The arrays are
+        the acceptance's 16 and 64 elements, so one model (185 kB) is well
+        above that memo growth."""
+        one, two = (
+            tiny_config(tmp_path, low=ArrayConfig(4, 4), high=ArrayConfig(8, 8),
+                        angle_ranges_deg=ranges)
+            for ranges in ([(0.0, 25.0)], [(0.0, 25.0), (20.0, 45.0)])
+        )
+        model = Harness(one).ensure_model(0, "M1")
+        model_bytes = sum(
+            a.nbytes for a in (*model.weights, *model.biases, model.norm_in, model.norm_out)
+        )
+        del model
+        # Trains the models of both ranges (the configs share range 0's) and
+        # warms up every lazy allocation.
+        for cfg in (one, two):
+            Harness(cfg).run_case_sweep("best_of_all")
+
+        def held(cfg):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                h = Harness(cfg)
+                h.run_case_sweep("best_of_all")
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+
+        growth = held(two) - held(one)
+        assert growth < model_bytes, (growth, model_bytes)
+
     def test_dropped_harness_is_freed_with_its_cache(self, tmp_path):
         h = Harness(tiny_config(tmp_path))
         h.eval_raw(0, 0.0)
@@ -1014,6 +1117,30 @@ class TestResultsCsv:
         write_results(self._rows(), p1)
         write_results(self._rows(), p2)
         assert file_hash(p1) == file_hash(p2)
+
+    def test_numpy_scalars_written_as_python_values(self, tmp_path):
+        """A numpy scalar prints as the Python value it holds, so a table of
+        numpy values has the bytes of the same table of Python values and
+        reads back equal."""
+        row = SweepRow(
+            "range_0_25", "M1", np.float64(-4.0), np.float32(0.1), np.int64(3),
+            np.bool_(True), 0.2, 0.05, np.float64(0.5), np.bool_(False),
+        )
+        plain = SweepRow(*(v.item() if isinstance(v, np.generic) else v for v in vars(row).values()))
+        numpy_path, plain_path = tmp_path / "numpy.csv", tmp_path / "plain.csv"
+        write_results(SweepResult([row]), numpy_path)
+        write_results(SweepResult([plain]), plain_path)
+        assert numpy_path.read_bytes() == plain_path.read_bytes()
+        assert read_results(numpy_path).rows == [plain]
+
+    def test_numpy_scalars_in_dict_rows(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_rows(
+            [{"a": np.float64(0.5), "b": np.float32(0.1), "c": np.int64(7),
+              "d": np.bool_(True), "e": np.bool_(False), "f": True}],
+            path,
+        )
+        assert path.read_text() == f"a,b,c,d,e,f\n0.5,{float(np.float32(0.1))!r},7,1,0,1\n"
 
     def _read_with_row(self, tmp_path, edit):
         """read_results on a table whose second data row went through ``edit``."""

@@ -585,6 +585,30 @@ class TestSerialization:
         with pytest.raises(ValueError, match="truncated model file"):
             load_model(path)
 
+    @pytest.mark.parametrize("field", ["sizes", "count"])
+    def test_oversized_header_refused_before_allocating(self, tmp_path, field):
+        """Layer sizes of 2**30 (a 16 GiB first weight block) or a layer
+        count of 2**32 - 1 (16 GiB of sizes) are a truncated file, refused
+        without allocating what the header declares."""
+        path = tmp_path / "huge.mlp"
+        data = bytearray(self.saved_model(path))
+        count = slice(len(MODEL_MAGIC) + 4, len(MODEL_MAGIC) + 8)
+        n_dims = int.from_bytes(data[count], "little")
+        if field == "count":
+            data[count] = (2**32 - 1).to_bytes(4, "little")
+        else:
+            sizes = slice(count.stop, count.stop + 4 * n_dims)
+            data[sizes] = np.full(n_dims, 2**30, dtype="<u4").tobytes()
+        path.write_bytes(bytes(data))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{path}: truncated model file$"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     # The header: magic, version and layer count (2 x u4), layer sizes (u4
     # each), output-activation flag (u1); the float64 blocks follow.
     @pytest.mark.parametrize("keep", [len(MODEL_MAGIC) + 5, len(MODEL_MAGIC) + 8 + 2])
