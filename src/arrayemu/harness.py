@@ -14,6 +14,7 @@ tables are reproducible byte for byte.
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import math
 import os
@@ -61,6 +62,8 @@ DATASET_MAGIC = b"AEMU-DSET"
 DATASET_VERSION = 1
 # Packed little-endian (version, samples, input dim, target dim).
 DATASET_HEADER = "<u4,<u8,<u4,<u4"
+BANK_MAGIC = b"AEMU-BANK"
+BANK_VERSION = 1
 
 CASES = ("mixed_M1", "matched_snr", "best_of_all", "raw_low", "raw_high")
 # Degrees by which each angle range's MUSIC grid extends past both ends.
@@ -442,7 +445,9 @@ class _Bank:
     (Q, K, P) reflectivity stack, their low blocks as a (Q, MN, P) stack,
     and the complex (Q, MN, MN) covariance stack of their high blocks (MUSIC
     and R_e read the high blocks only through it).  Its bytes follow from
-    the bank's seed alone, so a bank dropped with its cell is rebuilt equal."""
+    the values ``_bank_fingerprint`` hashes (the seed, the range's index and
+    limits, the test SNR, K, the minimum separation, P, Q and both arrays'
+    counts and spacing), so a bank file carrying that fingerprint holds it."""
 
     angles_rad: np.ndarray
     rcs: np.ndarray
@@ -452,6 +457,55 @@ class _Bank:
     @property
     def truths_deg(self) -> np.ndarray:
         return np.rad2deg(self.angles_rad)
+
+
+def _bank_layout(cfg: ExperimentConfig) -> list[tuple[tuple[int, ...], str]]:
+    """Shape and little-endian dtype of each ``_Bank`` array, in field order."""
+    q, k, p, mn = cfg.trials, cfg.num_targets, cfg.snapshots, cfg.high.virtual_size
+    return [((q, k), "<f8"), ((q, k, p), "<c16"), ((q, cfg.low.virtual_size, p), "<c16"),
+            ((q, mn, mn), "<c16")]
+
+
+def _bank_fingerprint(cfg: ExperimentConfig, range_idx: int, snr_db: float) -> bytes:
+    """sha256 of every config value a bank's bytes follow from: the integers
+    as their decimal text, the floats (the range limits, the test SNR, the
+    minimum separation and both spacings) as their IEEE-754 bits."""
+    ints = [cfg.seed, range_idx, cfg.num_targets, cfg.snapshots, cfg.trials]
+    floats = [*cfg.angle_ranges_deg[range_idx], snr_db, cfg.min_sep_deg]
+    for arr in (cfg.low, cfg.high):
+        ints += [arr.tx_count, arr.rx_count]
+        floats.append(arr.spacing_wavelengths)
+    text = repr([int(v) for v in ints]).encode()
+    return hashlib.sha256(text + np.array(floats, dtype="<f8").tobytes()).digest()
+
+
+def _write_bank(path, fingerprint: bytes, bank: _Bank) -> None:
+    """Bank file: magic, format version, fingerprint, then the four arrays'
+    little-endian bytes in ``_Bank`` field order."""
+    with atomic_write(path) as f:
+        f.write(BANK_MAGIC)
+        f.write(np.array(BANK_VERSION, dtype="<u4").tobytes())
+        f.write(fingerprint)
+        for array in vars(bank).values():
+            f.write(array.data)
+
+
+def _read_bank(path, fingerprint: bytes, layout) -> _Bank | None:
+    """The bank in the file at ``path``, or None if the file holds another
+    format version or another fingerprint's bank.  A file that is not a
+    bank, is cut short or has trailing bytes raises ``ValueError`` naming
+    ``path``."""
+    with open(path, "rb") as f:
+        if f.read(len(BANK_MAGIC)) != BANK_MAGIC:
+            raise ValueError(f"{path}: not a test bank file")
+        if (
+            int(read_block(f, (), path, "bank", "<u4")) != BANK_VERSION
+            or read_block(f, (len(fingerprint),), path, "bank", "u1").tobytes() != fingerprint
+        ):
+            return None
+        arrays = [read_block(f, shape, path, "bank", dtype) for shape, dtype in layout]
+        expect_end(f, path, "bank")
+    return _Bank(*arrays)
 
 
 def _memo(method):
@@ -475,7 +529,8 @@ def _cell_memo(method):
     """Cache a Harness method whose first two arguments are a (range index,
     test SNR) cell, as ``_memo`` does, but only while that cell is current:
     a call for another cell first drops the arrays cached for the last one.
-    So a table that visits each cell once holds one test bank at a time."""
+    So a table holds one test bank at a time, and a cell asked for again
+    reads its bank back from the bank file and recomputes the rest."""
 
     @functools.wraps(method)
     def cached(self, range_idx, snr_db, *args):
@@ -497,7 +552,9 @@ class Harness:
     dropped after it, since a load is cheap beside one evaluation.  Test banks
     and their reference covariances are large, so the instance holds those
     of one (range, test SNR) cell at a time; a table walks the cells in
-    ``_cells()`` order and visits each once."""
+    ``_cells()`` order and visits each once.  Each bank is drawn once per
+    output directory: ``test_bank`` writes it to ``bank_path`` and any later
+    request, from this instance or another, reads it back."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -520,6 +577,9 @@ class Harness:
 
     def model_path(self, range_idx: int, set_id: str) -> str:
         return self._artifact_path("models", range_idx, set_id, "mlp")
+
+    def bank_path(self, range_idx: int, snr_db: float) -> str:
+        return self._artifact_path("banks", range_idx, f"snr_{float(snr_db)!r}", "bank")
 
     # -- seeding -----------------------------------------------------------
 
@@ -625,18 +685,25 @@ class Harness:
 
     @_cell_memo
     def test_bank(self, range_idx: int, snr_db: float) -> _Bank:
+        """The cell's bank: read back from its file if that holds this
+        config's bank, else drawn and written there."""
         cfg = self.cfg
+        path, layout = self.bank_path(range_idx, snr_db), _bank_layout(cfg)
+        fingerprint = _bank_fingerprint(cfg, range_idx, snr_db)
+        if os.path.exists(path):
+            bank = _read_bank(path, fingerprint, layout)
+            if bank is not None:
+                return bank
         rng = np.random.default_rng(self._bank_seed(range_idx, snr_db))
-        trials, k, p, mn = cfg.trials, cfg.num_targets, cfg.snapshots, cfg.high.virtual_size
-        angles, rcs = np.empty((trials, k)), np.empty((trials, k, p), dtype=complex)
-        low = np.empty((trials, cfg.low.virtual_size, p), dtype=complex)
         # Each high block becomes its covariance at once, so no (Q, MN, P)
         # stack is ever built.
-        high_cov = np.empty((trials, mn, mn), dtype=complex)
-        for q in range(trials):
+        angles, rcs, low, high_cov = (np.empty(shape, dtype) for shape, dtype in layout)
+        for q in range(cfg.trials):
             angles[q], rcs[q], low[q], bh = self._draw_trial(range_idx, snr_db, rng)
             high_cov[q] = sample_covariance(bh)
-        return _Bank(angles, rcs, low, high_cov)
+        bank = _Bank(angles, rcs, low, high_cov)
+        _write_bank(path, fingerprint, bank)
+        return bank
 
     @_cell_memo
     def _offset_cov(self, range_idx: int, snr_db: float, offset_db: float) -> np.ndarray:

@@ -166,10 +166,11 @@ def test_train_on_dataset_cut_in_header_exits_1(tmp_path, capsys):
     assert "snr_0.dset: truncated dataset file" in err
 
 
-@pytest.mark.parametrize("kind", ["dataset", "model"])
+@pytest.mark.parametrize("kind", ["dataset", "model", "bank"])
 def test_file_with_trailing_bytes_exits_1(tmp_path, capsys, kind):
-    """A dataset that ``train`` reads, or a model that ``eval`` loads, with
-    4 bytes after its last block is refused, naming the file."""
+    """A dataset that ``train`` reads, a model that ``eval`` loads, or a
+    test bank that ``crb`` reads back, with 4 bytes after its last block is
+    refused, naming the file."""
     cfg = write_tiny_config(tmp_path)
     folder = tmp_path / "out" / f"{kind}s" / "range_0_25"
     folder.mkdir(parents=True)
@@ -177,17 +178,35 @@ def test_file_with_trailing_bytes_exits_1(tmp_path, capsys, kind):
         path = folder / "snr_0.dset"
         harness.write_dataset(path, np.zeros(3, np.float32), np.ones((3, 8)), np.ones((3, 12)))
         verb = ["train"]
-    else:
+    elif kind == "model":
         path = folder / "snr_0.mlp"
         model = network.init_model([8, 8, 8, 12, 12], "linear", 0)
         model.norm_in, model.norm_out = np.ones((8, 2)), np.ones((12, 2))
         network.save_model(model, path)
         verb = ["eval", "--train-set", "snr_0"]
+    else:
+        path = folder / "snr_0.0.bank"
+        verb = ["crb"]
+        assert main([*verb, "--config", str(cfg)]) == 0
     path.write_bytes(path.read_bytes() + b"\0\0\0\0")
     assert main([*verb, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == (
         f"arrayemu: error: {path}: trailing bytes after the {kind} file's last block\n"
     )
+
+
+@pytest.mark.parametrize("keep", [12, -1], ids=["header", "last-block"])
+def test_bank_cut_short_exits_1(tmp_path, capsys, keep):
+    """A test bank file cut inside its header or its last block is one
+    error line naming the file, not a bank drawn over it."""
+    cfg = write_tiny_config(tmp_path)
+    assert main(["crb", "--config", str(cfg)]) == 0
+    path = tmp_path / "out" / "banks" / "range_0_25" / "snr_0.0.bank"
+    path.write_bytes(path.read_bytes()[:keep])
+    cut = path.read_bytes()
+    assert main(["sweep", "--case", "raw_low", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"arrayemu: error: {path}: truncated bank file\n"
+    assert path.read_bytes() == cut
 
 
 def test_model_header_beyond_the_file_exits_1(tmp_path, capsys):
@@ -350,8 +369,15 @@ def test_unmatched_test_snr_fails_before_writing(tmp_path, capsys, verb):
 
 # sha256 of every file the verbs below write on the tiny config over two angle
 # ranges with output_activation = both, as recorded when grid.csv's flags
-# became 0/1.  Any change to a dataset, model or CSV byte shows up here.
+# became 0/1; the test bank files were added when banks were first written.
+# Any change to a bank, dataset, model or CSV byte shows up here.
 RECORDED_DIGESTS = {
+    "banks/range_0_25/snr_-5.0.bank": "af0e26bb93132d51242542d0e66d3331e2f5eca29864b6637a38f98df3d70773",
+    "banks/range_0_25/snr_0.0.bank": "53317142da94e7f095337a5ddd44267b4b9b55f7d5246af18ab7b04ebe10e489",
+    "banks/range_0_25/snr_5.0.bank": "316e80712dd86f3895e03a6ef082ec1307a9fd0559e239a270ce3cd91f70a5ac",
+    "banks/range_20_45/snr_-5.0.bank": "3605eab08eeaf474acd3e84915fc160353a743f1d275439fd6c3ea86be855104",
+    "banks/range_20_45/snr_0.0.bank": "1119f203c4dc5ae6ae1154d6c02f1ec325e3601d914a0edd6afd9e5db9b8e877",
+    "banks/range_20_45/snr_5.0.bank": "39f526f95e61fb69f0250c7cda322e575ccda3d88e44091e0d622465e0010a57",
     "datasets/range_0_25/M1.dset": "15078ba80d77c1fe028ba3eda9256eadc5e3b14282e36e0e29b28818d3720162",
     "datasets/range_0_25/M2.dset": "d3b6953eb4707dfb90841ba90fe76a0ee1ea6c007f9b853b3c40fc2661731eab",
     "datasets/range_0_25/snr_-5.dset": "1b1202757822765c08f5fcabf3827695b329e27bb0c16fb87ad872b23ff43f76",
@@ -385,7 +411,7 @@ RECORDED_DIGESTS = {
 }
 # The OpenBLAS kernel and numpy the digests were recorded with.  gemm's last
 # bits differ between kernels, and the difference reaches every later file:
-# under the AVX2 Haswell kernel 29 of the 30 files change.
+# under the AVX2 Haswell kernel 29 of the 30 dataset, model and CSV files change.
 RECORDED_KERNEL = "SkylakeX"
 RECORDED_NUMPY = "2.4.6"
 

@@ -2,10 +2,11 @@ import gc
 import hashlib
 import itertools
 import os
+import shutil
 import tracemalloc
 import types
 import weakref
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -785,15 +786,22 @@ class TestTrainingAndEval:
             ("crb_table", ()),
         ],
     )
-    def test_a_table_builds_each_bank_once(self, harness, monkeypatch, table, args):
+    def test_a_table_builds_each_bank_once(self, harness, monkeypatch, tmp_path, table, args):
         """Every table visits each (range, test SNR) cell once, so a fresh
-        Harness builds each bank once although it keeps only one."""
+        Harness on a directory that holds the models but no banks builds
+        each bank once although it keeps only one; a further fresh Harness
+        on that directory reads every bank back and draws none."""
         for sid in harness.cfg.set_ids:
             harness.ensure_model(0, sid)
-        h = Harness(harness.cfg)
+        cfg = replace(harness.cfg, output_dir=str(tmp_path))
+        shutil.copytree(os.path.join(harness.cfg.output_dir, "models"), tmp_path / "models")
+        h = Harness(cfg)
         calls = count_calls(monkeypatch, "synthesize_pair")
         assert getattr(h, table)(*args)
         assert len(calls) == h.cfg.trials * len(list(h._cells()))
+        calls.clear()
+        assert getattr(Harness(cfg), table)(*args)
+        assert calls == []
 
     def test_predicted_covs_equal_covariances_of_stacked_predictions(self, harness):
         """Forming each trial's covariance as soon as predict returns gives
@@ -843,13 +851,16 @@ class TestMemo:
         assert h.test_bank(0, 0) is h.test_bank(0, 0.0)
         assert len(calls) == h.cfg.trials
 
-    def test_bank_rebuilt_after_its_cell_equals_the_first_build(self, tmp_path):
+    def test_bank_rebuilt_after_its_cell_equals_the_first_build(self, tmp_path, monkeypatch):
         """Leaving a cell drops its bank and offset references; coming back
-        rebuilds them from their seeds with the same bytes."""
+        reads the bank back from its file, drawing nothing, and rebuilds the
+        offset reference from its seed, with the same bytes."""
         h = Harness(tiny_config(tmp_path))
         first, ref = h.test_bank(0, 0.0), h._offset_cov(0, 0.0, 8.0)
         h.test_bank(0, 5.0)
+        calls = count_calls(monkeypatch, "synthesize_pair")
         again = h.test_bank(0, 0.0)
+        assert calls == []
         assert again is not first
         for f in fields(first):
             assert np.array_equal(getattr(again, f.name), getattr(first, f.name))
@@ -882,7 +893,7 @@ class TestMemo:
             assert np.array_equal(second._offset_cov(0, 0.0, off), refs[off])
 
     def test_one_harness_gives_the_rows_of_a_fresh_harness_per_table(self, tmp_path):
-        """Tables that share one Harness, and so rebuild banks they left,
+        """Tables that share one Harness, and so read back banks they left,
         give the rows a fresh Harness per table gives, as in one-verb CLI
         runs."""
         cfg = tiny_config(tmp_path, angle_ranges_deg=[(0.0, 25.0), (20.0, 45.0)])
@@ -978,6 +989,155 @@ class TestMemo:
         assert ref() is None
 
 
+def assert_same_banks(a, b):
+    """Every bit of every array, NaN payloads included, with dtype and shape."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), f.name
+        assert x.tobytes() == y.tobytes(), f.name
+
+
+# Each value a bank's bytes follow from, changed on its own while the bank of
+# range_0_25 at 0 dB keeps its file path.
+FINGERPRINTED = {
+    "seed": dict(seed=124),
+    "range_index": dict(angle_ranges_deg=[(20.0, 45.0), (0.0, 25.0)]),
+    "range_limits": dict(angle_ranges_deg=[(0.0, 25.0000001)]),
+    "num_targets": dict(num_targets=1),
+    "min_sep_deg": dict(min_sep_deg=4.0),
+    "snapshots": dict(snapshots=40, test_samples=160),
+    "trials": dict(test_samples=60),
+    "low_tx": dict(low=ArrayConfig(3, 2)),
+    "low_rx": dict(low=ArrayConfig(2, 3)),
+    "low_spacing": dict(low=ArrayConfig(2, 2, 0.4)),
+    "high_tx": dict(high=ArrayConfig(3, 3)),
+    "high_rx": dict(high=ArrayConfig(2, 4)),
+    "high_spacing": dict(high=ArrayConfig(2, 3, 0.4)),
+}
+
+
+class TestBankFiles:
+    def test_bank_read_back_equals_a_fresh_draw(self, tmp_path, monkeypatch):
+        """A bank read back from its file is, bit for bit, the bank drawn in
+        a fresh output directory; so is a non-whole-dB bank."""
+        cfg = tiny_config(tmp_path / "a", snr_test_db=[0.0, 0.5])
+        for snr in cfg.snr_test_db:
+            Harness(cfg).test_bank(0, snr)
+            calls = count_calls(monkeypatch, "synthesize_pair")
+            read = Harness(cfg).test_bank(0, snr)
+            monkeypatch.undo()
+            assert calls == []
+            fresh = Harness(replace(cfg, output_dir=str(tmp_path / f"fresh_{snr}")))
+            assert_same_banks(read, fresh.test_bank(0, snr))
+        banks = tmp_path / "a" / "banks" / "range_0_25"
+        assert sorted(os.listdir(banks)) == ["snr_0.0.bank", "snr_0.5.bank"]
+        # Q·(8K + 16·P·(K + MN_low) + 16·MN_high²) bytes after a 45-byte header.
+        k, p = cfg.num_targets, cfg.snapshots
+        mn_low, mn_high = cfg.low.virtual_size, cfg.high.virtual_size
+        payload = cfg.trials * (8 * k + 16 * p * (k + mn_low) + 16 * mn_high**2)
+        header = len(harness_module.BANK_MAGIC) + 4 + 32
+        assert os.path.getsize(banks / "snr_0.0.bank") == header + payload
+
+    def test_second_harness_draws_nothing_and_gives_the_same_rows(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path, angle_ranges_deg=[(0.0, 25.0), (20.0, 45.0)])
+        first = Harness(cfg)
+        rows = repr((first.crb_table(), first.run_case_sweep("raw_low").rows))
+        calls = count_calls(monkeypatch, "synthesize_pair")
+        second = Harness(cfg)
+        assert repr((second.crb_table(), second.run_case_sweep("raw_low").rows)) == rows
+        assert calls == []
+
+    @pytest.mark.parametrize("kw", FINGERPRINTED.values(), ids=FINGERPRINTED.keys())
+    def test_changed_fingerprinted_value_draws_the_bank_again(self, tmp_path, monkeypatch, kw):
+        """A bank file made under another value of what the bank follows from
+        is drawn again, equal to a fresh-directory draw, and overwritten."""
+        Harness(tiny_config(tmp_path / "shared")).test_bank(0, 0.0)
+        path = Harness(tiny_config(tmp_path / "shared")).bank_path(0, 0.0)
+        old = open(path, "rb").read()
+        changed = tiny_config(tmp_path / "shared", **kw)
+        r = [changed.range_tag(i) for i in range(len(changed.angle_ranges_deg))].index(
+            "range_0_25"
+        )
+        h = Harness(changed)
+        assert h.bank_path(r, 0.0) == path
+        calls = count_calls(monkeypatch, "synthesize_pair")
+        bank = h.test_bank(r, 0.0)
+        assert len(calls) == changed.trials
+        fresh = Harness(tiny_config(tmp_path / "fresh", **kw))
+        assert_same_banks(bank, fresh.test_bank(r, 0.0))
+        new = open(path, "rb").read()
+        assert new != old and new == open(fresh.bank_path(r, 0.0), "rb").read()
+
+    def test_bank_file_of_another_snr_is_drawn_again(self, tmp_path, monkeypatch):
+        """The test SNR's bits are fingerprinted too: a 5 dB bank file put at
+        the 0 dB bank's path is drawn over."""
+        cfg = tiny_config(tmp_path)
+        h = Harness(cfg)
+        h.test_bank(0, 5.0)
+        shutil.copyfile(h.bank_path(0, 5.0), h.bank_path(0, 0.0))
+        calls = count_calls(monkeypatch, "synthesize_pair")
+        bank = Harness(cfg).test_bank(0, 0.0)
+        assert len(calls) == cfg.trials
+        fresh = Harness(replace(cfg, output_dir=str(tmp_path / "fresh")))
+        assert_same_banks(bank, fresh.test_bank(0, 0.0))
+
+    def test_bank_file_of_another_version_is_drawn_again(self, tmp_path, monkeypatch):
+        cfg = tiny_config(tmp_path)
+        h = Harness(cfg)
+        h.test_bank(0, 0.0)
+        path = h.bank_path(0, 0.0)
+        drawn = open(path, "rb").read()
+        start = len(harness_module.BANK_MAGIC)
+        with open(path, "r+b") as f:
+            f.seek(start)
+            f.write((harness_module.BANK_VERSION + 1).to_bytes(4, "little"))
+        calls = count_calls(monkeypatch, "synthesize_pair")
+        Harness(cfg).test_bank(0, 0.0)
+        assert len(calls) == cfg.trials
+        assert open(path, "rb").read() == drawn
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(grid_step_deg=0.25),
+            dict(train=TrainConfig(epochs=7, batch_size=30, split=(0.75, 0.25, 0.0))),
+            dict(denoise_offsets_db=[4.0]),
+        ],
+        ids=["grid_step_deg", "epochs", "denoise_offsets_db"],
+    )
+    def test_value_the_bank_does_not_follow_from_reads_the_file(self, tmp_path, monkeypatch, kw):
+        drawn = Harness(tiny_config(tmp_path)).test_bank(0, 0.0)
+        calls = count_calls(monkeypatch, "synthesize_pair")
+        assert_same_banks(Harness(tiny_config(tmp_path, **kw)).test_bank(0, 0.0), drawn)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda data: b"AEMU-DSET" + data[9:], "not a test bank file"),
+            (lambda data: data[:11], "truncated bank file"),
+            (lambda data: data[:40], "truncated bank file"),
+            (lambda data: data[:-1], "truncated bank file"),
+            (lambda data: data + b"\0\0\0\0", "trailing bytes after the bank file's last block"),
+        ],
+        ids=["magic", "cut-in-version", "cut-in-fingerprint", "cut-in-last-block", "trailing"],
+    )
+    def test_damaged_bank_file_refused_naming_it(self, tmp_path, monkeypatch, edit, match):
+        cfg = tiny_config(tmp_path)
+        h = Harness(cfg)
+        h.test_bank(0, 0.0)
+        path = h.bank_path(0, 0.0)
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(path, "wb") as f:
+            f.write(edit(data))
+        damaged = open(path, "rb").read()
+        calls = count_calls(monkeypatch, "synthesize_pair")
+        with pytest.raises(ValueError, match=f"^{path}: {match}$"):
+            Harness(cfg).test_bank(0, 0.0)
+        assert calls == [] and open(path, "rb").read() == damaged
+
+
 @pytest.fixture(scope="module")
 def music_harness(tmp_path_factory):
     """Acceptance-size arrays (16 and 64 elements), K = 4 and Q = 10 trials
@@ -990,11 +1150,12 @@ def music_harness(tmp_path_factory):
     return Harness(cfg)
 
 
-def recorded_bank(monkeypatch, cfg, snr_db):
-    """A fresh Harness, its bank at ``snr_db``, and the (Q, MN, P) low and
-    high stacks of the blocks ``synthesize_pair`` returned while the bank
-    was built; the bank itself keeps no high blocks.  The dict also holds
-    the "angles_rad" and "rcs" stacks of the scenes synthesize_pair was given."""
+def recorded_bank(monkeypatch, cfg, snr_db, out_dir):
+    """A fresh Harness on the fresh output directory ``out_dir``, its bank
+    at ``snr_db``, and the (Q, MN, P) low and high stacks of the blocks
+    ``synthesize_pair`` returned while the bank was drawn; the bank itself
+    keeps no high blocks.  The dict also holds the "angles_rad" and "rcs"
+    stacks of the scenes synthesize_pair was given."""
     scenes, pairs, real = [], [], harness_module.synthesize_pair
 
     def recording(angles_rad, rcs, *args, **kwargs):
@@ -1003,7 +1164,7 @@ def recorded_bank(monkeypatch, cfg, snr_db):
         return pairs[-1]
 
     monkeypatch.setattr(harness_module, "synthesize_pair", recording)
-    h = Harness(cfg)
+    h = Harness(replace(cfg, output_dir=str(out_dir)))
     bank = h.test_bank(0, snr_db)
     monkeypatch.setattr(harness_module, "synthesize_pair", real)
     blocks = {side: np.stack([p[i] for p in pairs]) for i, side in enumerate(("low", "high"))}
@@ -1016,10 +1177,10 @@ class TestStackedMusic:
     @pytest.mark.parametrize("side", ["low", "high"])
     @pytest.mark.parametrize("snr_db", [-16.0, 0.0, 10.0, 300.0])
     def test_bank_mse_and_covariances_match_per_trial_reference(
-        self, music_harness, monkeypatch, side, snr_db
+        self, music_harness, monkeypatch, tmp_path, side, snr_db
     ):
         """300 dB is the noiseless bank."""
-        h, bank, blocks = recorded_bank(monkeypatch, music_harness.cfg, snr_db)
+        h, bank, blocks = recorded_bank(monkeypatch, music_harness.cfg, snr_db, tmp_path)
         for name in ("angles_rad", "rcs", "low"):
             assert np.array_equal(getattr(bank, name), blocks[name])
         assert np.array_equal(bank.truths_deg, np.rad2deg(blocks["angles_rad"]))
@@ -1034,8 +1195,8 @@ class TestStackedMusic:
         if snr_db == 300.0:
             assert mse < 1e-5
 
-    def test_eval_raw_keeps_the_bank_mses(self, music_harness, monkeypatch):
-        h, bank, blocks = recorded_bank(monkeypatch, music_harness.cfg, 0.0)
+    def test_eval_raw_keeps_the_bank_mses(self, music_harness, monkeypatch, tmp_path):
+        h, bank, blocks = recorded_bank(monkeypatch, music_harness.cfg, 0.0, tmp_path)
         raw = h.eval_raw(0, 0.0)
         assert h._offset_cov(0, 0.0, 0.0) is bank.high_cov
         grid, k = h.cfg.spectrum_grid(0), h.cfg.num_targets
