@@ -63,6 +63,9 @@ DATASET_VERSION = 1
 # Packed little-endian (version, samples, input dim, target dim).
 DATASET_HEADER = "<u4,<u8,<u4,<u4"
 BANK_MAGIC = b"AEMU-BANK"
+# Bumped whenever the bytes a bank file holds for one fingerprint change
+# (the draw code, the bank seeding or the layout), so older files are drawn
+# again; tests/test_cli.py records each version's bytes.
 BANK_VERSION = 1
 
 CASES = ("mixed_M1", "matched_snr", "best_of_all", "raw_low", "raw_high")
@@ -444,10 +447,12 @@ class _Bank:
     """One test bank, as plain arrays: Q scenes as a (Q, K) angle and a
     (Q, K, P) reflectivity stack, their low blocks as a (Q, MN, P) stack,
     and the complex (Q, MN, MN) covariance stack of their high blocks (MUSIC
-    and R_e read the high blocks only through it).  Its bytes follow from
-    the values ``_bank_fingerprint`` hashes (the seed, the range's index and
+    and R_e read the high blocks only through it).  The drawn values follow
+    from those ``_bank_fingerprint`` hashes (the seed, the range's index and
     limits, the test SNR, K, the minimum separation, P, Q and both arrays'
-    counts and spacing), so a bank file carrying that fingerprint holds it."""
+    counts and spacing), so a bank file carrying that fingerprint holds them;
+    the covariances are formed from its high blocks by the process using
+    them, since a gemm's last bits follow its BLAS thread count and kernel."""
 
     angles_rad: np.ndarray
     rcs: np.ndarray
@@ -459,11 +464,13 @@ class _Bank:
         return np.rad2deg(self.angles_rad)
 
 
-def _bank_layout(cfg: ExperimentConfig) -> list[tuple[tuple[int, ...], str]]:
-    """Shape and little-endian dtype of each ``_Bank`` array, in field order."""
-    q, k, p, mn = cfg.trials, cfg.num_targets, cfg.snapshots, cfg.high.virtual_size
-    return [((q, k), "<f8"), ((q, k, p), "<c16"), ((q, cfg.low.virtual_size, p), "<c16"),
-            ((q, mn, mn), "<c16")]
+def _trial_layout(cfg: ExperimentConfig) -> list[tuple[tuple[int, ...], str]]:
+    """Shape and little-endian dtype of each array of one trial in a bank
+    file, in ``_draw_trial`` order: angles, reflectivities, low block and
+    high block."""
+    k, p = cfg.num_targets, cfg.snapshots
+    return [((k,), "<f8"), ((k, p), "<c16"), ((cfg.low.virtual_size, p), "<c16"),
+            ((cfg.high.virtual_size, p), "<c16")]
 
 
 def _bank_fingerprint(cfg: ExperimentConfig, range_idx: int, snr_db: float) -> bytes:
@@ -479,18 +486,29 @@ def _bank_fingerprint(cfg: ExperimentConfig, range_idx: int, snr_db: float) -> b
     return hashlib.sha256(text + np.array(floats, dtype="<f8").tobytes()).digest()
 
 
-def _write_bank(path, fingerprint: bytes, bank: _Bank) -> None:
-    """Bank file: magic, format version, fingerprint, then the four arrays'
-    little-endian bytes in ``_Bank`` field order."""
-    with atomic_write(path) as f:
-        f.write(BANK_MAGIC)
-        f.write(np.array(BANK_VERSION, dtype="<u4").tobytes())
-        f.write(fingerprint)
-        for array in vars(bank).values():
-            f.write(array.data)
+def _collect_bank(cfg: ExperimentConfig, trials) -> _Bank:
+    """The bank of the Q trials ``trials`` yields, each as (angles_rad, rcs,
+    low block, high block).  Each high block becomes its covariance at once,
+    so no (Q, MN, P) stack is ever built."""
+    q, mn = cfg.trials, cfg.high.virtual_size
+    angles, rcs, low = (np.empty((q, *shape), dtype) for shape, dtype in _trial_layout(cfg)[:3])
+    high_cov = np.empty((q, mn, mn), dtype=complex)
+    for i, (a, r, bl, bh) in enumerate(trials):
+        angles[i], rcs[i], low[i] = a, r, bl
+        high_cov[i] = sample_covariance(bh)
+    return _Bank(angles, rcs, low, high_cov)
 
 
-def _read_bank(path, fingerprint: bytes, layout) -> _Bank | None:
+def _written(f, layout, trials):
+    """Yield each trial of ``trials`` once its arrays' little-endian bytes,
+    in ``layout``'s dtypes, are written to the open bank file ``f``."""
+    for trial in trials:
+        for array, (_, dtype) in zip(trial, layout):
+            f.write(np.ascontiguousarray(array, dtype=dtype).data)
+        yield trial
+
+
+def _read_bank(path, fingerprint: bytes, cfg: ExperimentConfig) -> _Bank | None:
     """The bank in the file at ``path``, or None if the file holds another
     format version or another fingerprint's bank.  A file that is not a
     bank, is cut short or has trailing bytes raises ``ValueError`` naming
@@ -503,9 +521,13 @@ def _read_bank(path, fingerprint: bytes, layout) -> _Bank | None:
             or read_block(f, (len(fingerprint),), path, "bank", "u1").tobytes() != fingerprint
         ):
             return None
-        arrays = [read_block(f, shape, path, "bank", dtype) for shape, dtype in layout]
+        layout = _trial_layout(cfg)
+        bank = _collect_bank(cfg, (
+            [read_block(f, shape, path, "bank", dtype) for shape, dtype in layout]
+            for _ in range(cfg.trials)
+        ))
         expect_end(f, path, "bank")
-    return _Bank(*arrays)
+    return bank
 
 
 def _memo(method):
@@ -688,21 +710,21 @@ class Harness:
         """The cell's bank: read back from its file if that holds this
         config's bank, else drawn and written there."""
         cfg = self.cfg
-        path, layout = self.bank_path(range_idx, snr_db), _bank_layout(cfg)
+        path = self.bank_path(range_idx, snr_db)
         fingerprint = _bank_fingerprint(cfg, range_idx, snr_db)
         if os.path.exists(path):
-            bank = _read_bank(path, fingerprint, layout)
+            bank = _read_bank(path, fingerprint, cfg)
             if bank is not None:
                 return bank
         rng = np.random.default_rng(self._bank_seed(range_idx, snr_db))
-        # Each high block becomes its covariance at once, so no (Q, MN, P)
-        # stack is ever built.
-        angles, rcs, low, high_cov = (np.empty(shape, dtype) for shape, dtype in layout)
-        for q in range(cfg.trials):
-            angles[q], rcs[q], low[q], bh = self._draw_trial(range_idx, snr_db, rng)
-            high_cov[q] = sample_covariance(bh)
-        bank = _Bank(angles, rcs, low, high_cov)
-        _write_bank(path, fingerprint, bank)
+        trials = (self._draw_trial(range_idx, snr_db, rng) for _ in range(cfg.trials))
+        # Bank file: magic, format version, fingerprint, then each trial's
+        # arrays, written as they are drawn.
+        with atomic_write(path) as f:
+            f.write(BANK_MAGIC)
+            f.write(np.array(BANK_VERSION, dtype="<u4").tobytes())
+            f.write(fingerprint)
+            bank = _collect_bank(cfg, _written(f, _trial_layout(cfg), trials))
         return bank
 
     @_cell_memo

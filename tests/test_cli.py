@@ -370,14 +370,15 @@ def test_unmatched_test_snr_fails_before_writing(tmp_path, capsys, verb):
 # sha256 of every file the verbs below write on the tiny config over two angle
 # ranges with output_activation = both, as recorded when grid.csv's flags
 # became 0/1; the test bank files were added when banks were first written.
-# Any change to a bank, dataset, model or CSV byte shows up here.
+# Any change to a bank, dataset, model or CSV byte shows up here; a change to
+# a banks/ digest also needs a harness.BANK_VERSION bump (RECORDED_BANK_DIGESTS).
 RECORDED_DIGESTS = {
-    "banks/range_0_25/snr_-5.0.bank": "af0e26bb93132d51242542d0e66d3331e2f5eca29864b6637a38f98df3d70773",
-    "banks/range_0_25/snr_0.0.bank": "53317142da94e7f095337a5ddd44267b4b9b55f7d5246af18ab7b04ebe10e489",
-    "banks/range_0_25/snr_5.0.bank": "316e80712dd86f3895e03a6ef082ec1307a9fd0559e239a270ce3cd91f70a5ac",
-    "banks/range_20_45/snr_-5.0.bank": "3605eab08eeaf474acd3e84915fc160353a743f1d275439fd6c3ea86be855104",
-    "banks/range_20_45/snr_0.0.bank": "1119f203c4dc5ae6ae1154d6c02f1ec325e3601d914a0edd6afd9e5db9b8e877",
-    "banks/range_20_45/snr_5.0.bank": "39f526f95e61fb69f0250c7cda322e575ccda3d88e44091e0d622465e0010a57",
+    "banks/range_0_25/snr_-5.0.bank": "193d4ab6e71b169f94ab421ea68f009d1936d609bf585e0ae11e8681b6055cfb",
+    "banks/range_0_25/snr_0.0.bank": "f778b737191de19325b0207798bb0cef52b786e280c6cc611199f02571ddcfaf",
+    "banks/range_0_25/snr_5.0.bank": "0dbe2aa60aa17b0b24e5c0d5d1ccc64c09d330f4d4ceab79a0fae1bbc1d0a7e5",
+    "banks/range_20_45/snr_-5.0.bank": "25f0b8b6f64438d562219e29103025fe3cd23aa28231ea323cd25f8be1ddb347",
+    "banks/range_20_45/snr_0.0.bank": "d0f037d443375441530a167b17fceb60a2c25c6aba1acf09ffff6a7d533c36c3",
+    "banks/range_20_45/snr_5.0.bank": "281f68325d80dc8377dc150ee0b41e01694031f6f08937125d57d8f98b4651c0",
     "datasets/range_0_25/M1.dset": "15078ba80d77c1fe028ba3eda9256eadc5e3b14282e36e0e29b28818d3720162",
     "datasets/range_0_25/M2.dset": "d3b6953eb4707dfb90841ba90fe76a0ee1ea6c007f9b853b3c40fc2661731eab",
     "datasets/range_0_25/snr_-5.dset": "1b1202757822765c08f5fcabf3827695b329e27bb0c16fb87ad872b23ff43f76",
@@ -414,6 +415,22 @@ RECORDED_DIGESTS = {
 # under the AVX2 Haswell kernel 29 of the 30 dataset, model and CSV files change.
 RECORDED_KERNEL = "SkylakeX"
 RECORDED_NUMPY = "2.4.6"
+# The bytes of the tiny config's 0 dB bank of range_0_25 at each bank format
+# version.  A later run reads a bank file back whenever its version and
+# fingerprint match, so a change that moves the banks/ digests above (to the
+# draw code, the seeding or the layout) must also bump harness.BANK_VERSION,
+# or old files would be read as new ones: add the new version's digest here
+# and keep the old ones.
+RECORDED_BANK_DIGESTS = {
+    1: "f778b737191de19325b0207798bb0cef52b786e280c6cc611199f02571ddcfaf",
+}
+
+
+def test_bank_bytes_change_only_with_the_bank_version():
+    assert max(RECORDED_BANK_DIGESTS) == harness.BANK_VERSION
+    assert len(set(RECORDED_BANK_DIGESTS.values())) == len(RECORDED_BANK_DIGESTS)
+    current = RECORDED_DIGESTS["banks/range_0_25/snr_0.0.bank"]
+    assert RECORDED_BANK_DIGESTS[harness.BANK_VERSION] == current
 
 
 def test_every_verb_writes_the_recorded_bytes(tmp_path):

@@ -1031,10 +1031,10 @@ class TestBankFiles:
             assert_same_banks(read, fresh.test_bank(0, snr))
         banks = tmp_path / "a" / "banks" / "range_0_25"
         assert sorted(os.listdir(banks)) == ["snr_0.0.bank", "snr_0.5.bank"]
-        # Q·(8K + 16·P·(K + MN_low) + 16·MN_high²) bytes after a 45-byte header.
+        # Q·(8K + 16·P·(K + MN_low + MN_high)) bytes after a 45-byte header.
         k, p = cfg.num_targets, cfg.snapshots
         mn_low, mn_high = cfg.low.virtual_size, cfg.high.virtual_size
-        payload = cfg.trials * (8 * k + 16 * p * (k + mn_low) + 16 * mn_high**2)
+        payload = cfg.trials * (8 * k + 16 * p * (k + mn_low + mn_high))
         header = len(harness_module.BANK_MAGIC) + 4 + 32
         assert os.path.getsize(banks / "snr_0.0.bank") == header + payload
 
