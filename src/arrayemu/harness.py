@@ -36,11 +36,11 @@ from .network import (
     ACTIVATIONS,
     MlpModel,
     TrainConfig,
+    _framed_read,
+    _framed_write,
     atomic_write,
-    expect_end,
     load_model,
     predict,
-    read_block,
     save_model,
     stack_real_imag,
     train,
@@ -336,29 +336,23 @@ def write_dataset(path, snr_labels, inputs, targets) -> None:
     t = np.ascontiguousarray(targets, dtype="<f8")
     if x.shape[0] != t.shape[0] or labels.shape != (x.shape[0],):
         raise ValueError("inconsistent dataset block shapes")
-    with atomic_write(path) as f:
-        f.write(DATASET_MAGIC)
-        header = (DATASET_VERSION, x.shape[0], x.shape[1], t.shape[1])
-        f.write(np.array(header, dtype=DATASET_HEADER).tobytes())
-        f.write(labels.data)
-        f.write(x.data)
-        f.write(t.data)
+    with _framed_write(path, DATASET_MAGIC) as put:
+        put((DATASET_VERSION, x.shape[0], x.shape[1], t.shape[1]), DATASET_HEADER)
+        put(labels, "<f4")
+        put(x)
+        put(t)
 
 
 def read_dataset(path):
     """Read a dataset file; returns (snr_labels, inputs, targets)."""
-    with open(path, "rb") as f:
-        magic = f.read(len(DATASET_MAGIC))
-        if magic != DATASET_MAGIC:
-            raise ValueError(f"{path}: not an emulator dataset file")
-        header = read_block(f, (), path, "dataset", DATASET_HEADER)
-        version, samples, in_dim, out_dim = header.item()
+    with _framed_read(path, DATASET_MAGIC, "dataset", "an emulator dataset file") as (take, end):
+        version, samples, in_dim, out_dim = take((), DATASET_HEADER).item()
         if version != DATASET_VERSION:
             raise ValueError(f"{path}: unsupported dataset version {version}")
-        labels = read_block(f, (samples,), path, "dataset", "<f4")
-        inputs = read_block(f, (samples, in_dim), path, "dataset")
-        targets = read_block(f, (samples, out_dim), path, "dataset")
-        expect_end(f, path, "dataset")
+        labels = take((samples,), "<f4")
+        inputs = take((samples, in_dim))
+        targets = take((samples, out_dim))
+        end()
     return labels, inputs, targets
 
 
@@ -499,34 +493,22 @@ def _collect_bank(cfg: ExperimentConfig, trials) -> _Bank:
     return _Bank(angles, rcs, low, high_cov)
 
 
-def _written(f, layout, trials):
-    """Yield each trial of ``trials`` once its arrays' little-endian bytes,
-    in ``layout``'s dtypes, are written to the open bank file ``f``."""
-    for trial in trials:
-        for array, (_, dtype) in zip(trial, layout):
-            f.write(np.ascontiguousarray(array, dtype=dtype).data)
-        yield trial
-
-
 def _read_bank(path, fingerprint: bytes, cfg: ExperimentConfig) -> _Bank | None:
     """The bank in the file at ``path``, or None if the file holds another
     format version or another fingerprint's bank.  A file that is not a
     bank, is cut short or has trailing bytes raises ``ValueError`` naming
     ``path``."""
-    with open(path, "rb") as f:
-        if f.read(len(BANK_MAGIC)) != BANK_MAGIC:
-            raise ValueError(f"{path}: not a test bank file")
+    with _framed_read(path, BANK_MAGIC, "bank", "a test bank file") as (take, end):
         if (
-            int(read_block(f, (), path, "bank", "<u4")) != BANK_VERSION
-            or read_block(f, (len(fingerprint),), path, "bank", "u1").tobytes() != fingerprint
+            int(take((), "<u4")) != BANK_VERSION
+            or take((len(fingerprint),), "u1").tobytes() != fingerprint
         ):
             return None
         layout = _trial_layout(cfg)
         bank = _collect_bank(cfg, (
-            [read_block(f, shape, path, "bank", dtype) for shape, dtype in layout]
-            for _ in range(cfg.trials)
+            [take(shape, dtype) for shape, dtype in layout] for _ in range(cfg.trials)
         ))
-        expect_end(f, path, "bank")
+        end()
     return bank
 
 
@@ -717,14 +699,16 @@ class Harness:
             if bank is not None:
                 return bank
         rng = np.random.default_rng(self._bank_seed(range_idx, snr_db))
-        trials = (self._draw_trial(range_idx, snr_db, rng) for _ in range(cfg.trials))
+        dtypes = [dtype for _, dtype in _trial_layout(cfg)]
         # Bank file: magic, format version, fingerprint, then each trial's
         # arrays, written as they are drawn.
-        with atomic_write(path) as f:
-            f.write(BANK_MAGIC)
-            f.write(np.array(BANK_VERSION, dtype="<u4").tobytes())
-            f.write(fingerprint)
-            bank = _collect_bank(cfg, _written(f, _trial_layout(cfg), trials))
+        with _framed_write(path, BANK_MAGIC) as put:
+            put(BANK_VERSION, "<u4")
+            put(np.frombuffer(fingerprint, "u1"), "u1")
+            bank = _collect_bank(cfg, (
+                list(map(put, self._draw_trial(range_idx, snr_db, rng), dtypes))
+                for _ in range(cfg.trials)
+            ))
         return bank
 
     @_cell_memo

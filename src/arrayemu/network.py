@@ -332,8 +332,7 @@ def train(
     step gathers its batch and normalizes it in place, and the validation
     pass keeps no layer's activations but the two in use.  One epoch on the
     default-scale M1 (112 000 samples, 32 → 128 features) in a fresh
-    process peaks at 279 MB of RSS, down from 461 MB with a normalized
-    training copy, and trains the same bits.
+    process peaks at 279 MB of RSS.
     """
     x = np.asarray(inputs, dtype=float)
     t = np.asarray(targets, dtype=float)
@@ -424,16 +423,15 @@ def save_model(model: MlpModel, path) -> None:
     """Write the versioned binary model file (little-endian float64 blocks)."""
     if model.norm_in is None or model.norm_out is None:
         raise ValueError("refusing to save a model without normalization statistics")
-    with atomic_write(path) as f:
-        f.write(MODEL_MAGIC)
+    with _framed_write(path, MODEL_MAGIC) as put:
         dims = model.layer_dims
-        f.write(np.array([MODEL_VERSION, len(dims), *dims], dtype="<u4").data)
-        f.write(np.array(ACTIVATIONS.index(model.output_activation), dtype="u1").data)
-        f.write(np.ascontiguousarray(model.norm_in, dtype="<f8").data)
-        f.write(np.ascontiguousarray(model.norm_out, dtype="<f8").data)
+        put([MODEL_VERSION, len(dims), *dims], "<u4")
+        put(ACTIVATIONS.index(model.output_activation), "u1")
+        put(model.norm_in)
+        put(model.norm_out)
         for w, b in zip(model.weights, model.biases):
-            f.write(np.ascontiguousarray(w, dtype="<f8").data)
-            f.write(np.ascontiguousarray(b, dtype="<f8").data)
+            put(w)
+            put(b)
 
 
 @contextmanager
@@ -455,58 +453,70 @@ def atomic_write(path):
         raise
 
 
-def read_block(f, shape, path, kind: str, dtype: str = "<f8") -> np.ndarray:
-    """Read one little-endian array of ``shape`` from the open file ``f``;
-    a block longer than the rest of the file, or a short read, raises
-    ``ValueError("<path>: truncated <kind> file")``."""
-    # The block's size in Python ints, checked before anything is allocated,
-    # so a corrupt header cannot ask for more memory than the file holds.
-    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-    if nbytes <= os.fstat(f.fileno()).st_size - f.tell():
-        out = np.empty(shape, dtype=dtype)
-        # Read straight into the array's bytes: a 0-d or structured array
-        # too is one flat run of unsigned bytes.
-        if f.readinto(out.reshape(-1).view(np.uint8)) == nbytes:
-            return out
-    raise ValueError(f"{path}: truncated {kind} file")
+@contextmanager
+def _framed_write(path, magic: bytes):
+    """``atomic_write`` a file that starts with ``magic``; yields
+    ``put(array, dtype="<f8")``, which appends ``array`` as one C-order
+    block of the little-endian ``dtype`` and returns that block."""
+    with atomic_write(path) as f:
+        f.write(magic)
+
+        def put(array, dtype: str = "<f8") -> np.ndarray:
+            block = np.ascontiguousarray(array, dtype=dtype)
+            f.write(block.data)
+            return block
+
+        yield put
 
 
-def expect_end(f, path, kind: str) -> None:
-    """Raise ``ValueError("<path>: trailing bytes after the <kind> file's
-    last block")`` unless the open file ``f`` is at its end."""
-    if f.read(1):
-        raise ValueError(f"{path}: trailing bytes after the {kind} file's last block")
+@contextmanager
+def _framed_read(path, magic: bytes, kind: str, name: str):
+    """Open the file at ``path``, refused as "not <name>" unless it starts
+    with ``magic``, and yield ``take(shape, dtype="<f8")``, which reads its
+    next block, and ``end()``, which refuses any byte after the last one.
+    A block longer than the rest of the file is a "truncated <kind> file";
+    each refusal is a ``ValueError`` headed "<path>: "."""
+    with open(path, "rb") as f:
+        if f.read(len(magic)) != magic:
+            raise ValueError(f"{path}: not {name}")
+        size = os.fstat(f.fileno()).st_size
+
+        def take(shape, dtype: str = "<f8") -> np.ndarray:
+            # Checked in Python ints before anything is allocated, so a
+            # corrupt header cannot ask for more memory than the file holds.
+            nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+            if nbytes <= size - f.tell():
+                out = np.empty(shape, dtype=dtype)
+                # Read straight into the array's bytes: a 0-d or structured
+                # array too is one flat run of unsigned bytes.
+                if f.readinto(out.reshape(-1).view(np.uint8)) == nbytes:
+                    return out
+            raise ValueError(f"{path}: truncated {kind} file")
+
+        def end() -> None:
+            if f.read(1):
+                raise ValueError(f"{path}: trailing bytes after the {kind} file's last block")
+
+        yield take, end
 
 
 def load_model(path) -> MlpModel:
     """Read a model file written by save_model; bit-exact round trip."""
-    with open(path, "rb") as f:
-        magic = f.read(len(MODEL_MAGIC))
-        if magic != MODEL_MAGIC:
-            raise ValueError(f"{path}: not an emulator model file")
-        version, n_dims = read_block(f, (2,), path, "model", "<u4").tolist()
+    with _framed_read(path, MODEL_MAGIC, "model", "an emulator model file") as (take, end):
+        version, n_dims = take((2,), "<u4").tolist()
         if version != MODEL_VERSION:
             raise ValueError(f"{path}: unsupported model format version {version}")
         if n_dims < 2:
             raise ValueError(f"{path}: model needs at least 2 layer sizes, got {n_dims}")
-        dims = read_block(f, (n_dims,), path, "model", "<u4").tolist()
-        act_flag = int(read_block(f, (), path, "model", "u1"))
+        dims = take((n_dims,), "<u4").tolist()
+        act_flag = int(take((), "u1"))
         if act_flag >= len(ACTIVATIONS):
             raise ValueError(f"{path}: unknown output activation flag {act_flag}")
-        activation = ACTIVATIONS[act_flag]
-
-        norm_in = read_block(f, (dims[0], 2), path, "model")
-        norm_out = read_block(f, (dims[-1], 2), path, "model")
+        norm_in = take((dims[0], 2))
+        norm_out = take((dims[-1], 2))
         weights, biases = [], []
-        for i in range(n_dims - 1):
-            weights.append(read_block(f, (dims[i + 1], dims[i]), path, "model"))
-            biases.append(read_block(f, (dims[i + 1],), path, "model"))
-        expect_end(f, path, "model")
-    return MlpModel(
-        layer_dims=dims,
-        weights=weights,
-        biases=biases,
-        output_activation=activation,
-        norm_in=norm_in,
-        norm_out=norm_out,
-    )
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            weights.append(take((fan_out, fan_in)))
+            biases.append(take((fan_out,)))
+        end()
+    return MlpModel(dims, weights, biases, ACTIVATIONS[act_flag], norm_in, norm_out)

@@ -8,6 +8,8 @@ name two modules both list.
 import ast
 import importlib
 import os
+import subprocess
+import sys
 import types
 import warnings
 
@@ -88,3 +90,19 @@ def test_every_import_is_used(filename):
     """A dependency-free unused-import lint: each name a module imports is
     read in that module or re-exported through its ``__all__``."""
     assert _unused_imports(os.path.join(os.path.dirname(arrayemu.__file__), filename)) == []
+
+
+def test_import_loads_only_the_standard_library_and_numpy():
+    """``import arrayemu`` in a fresh interpreter, which every CLI call
+    pays for, loads no top-level module outside the standard library but
+    numpy."""
+    code = (
+        "import sys; before = set(sys.modules); import arrayemu; "
+        "print(*{name.split('.')[0] for name in set(sys.modules) - before})"
+    )
+    src = os.path.dirname(os.path.dirname(arrayemu.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert set(out.split()) - sys.stdlib_module_names - {"arrayemu"} == {"numpy"}

@@ -2,6 +2,8 @@ import gc
 import hashlib
 import itertools
 import os
+import pathlib
+import re
 import shutil
 import tracemalloc
 import types
@@ -31,7 +33,15 @@ from arrayemu.harness import (
 from arrayemu import harness as harness_module
 from arrayemu import network
 from arrayemu.music import sample_covariance
-from arrayemu.network import MlpModel, TrainConfig, predict, save_model, train
+from arrayemu.network import (
+    MlpModel,
+    TrainConfig,
+    init_model,
+    load_model,
+    predict,
+    save_model,
+    train,
+)
 
 from oracles import reference_music_mse, reference_offset_covs
 
@@ -1136,6 +1146,56 @@ class TestBankFiles:
         with pytest.raises(ValueError, match=f"^{path}: {match}$"):
             Harness(cfg).test_bank(0, 0.0)
         assert calls == [] and open(path, "rb").read() == damaged
+
+
+# What each framed file kind is called when a file of another kind is refused.
+FRAMED_NAMES = {
+    "dataset": "an emulator dataset file",
+    "model": "an emulator model file",
+    "bank": "a test bank file",
+}
+
+
+def framed_files(tmp_path):
+    """One small file of each framed kind, as kind -> (path, a call reading
+    the file at path, magic, header bytes after the magic): a 2-sample
+    dataset, a 2→3→2 model and a tiny_config bank, read back through
+    ``Harness.test_bank``."""
+    dset, mlp = tmp_path / "set.dset", tmp_path / "net.mlp"
+    write_dataset(dset, np.zeros(2, dtype=np.float32), np.ones((2, 4)), np.ones((2, 6)))
+    model = init_model([2, 3, 2], "linear", rng=0)
+    model.norm_in = model.norm_out = np.array([[0.0, 1.0], [0.0, 1.0]])
+    save_model(model, mlp)
+    cfg = tiny_config(tmp_path)
+    Harness(cfg).test_bank(0, 0.0)
+    bank = pathlib.Path(Harness(cfg).bank_path(0, 0.0))
+    return {
+        # Version, samples and both widths: u4, u8, u4, u4.
+        "dataset": (dset, lambda: read_dataset(dset), DATASET_MAGIC, 20),
+        # Version, layer count and 3 layer sizes (u4 each), activation flag (u1).
+        "model": (mlp, lambda: load_model(mlp), network.MODEL_MAGIC, 4 * 5 + 1),
+        # Version (u4) and the 32-byte fingerprint.
+        "bank": (bank, lambda: Harness(cfg).test_bank(0, 0.0), harness_module.BANK_MAGIC, 36),
+    }
+
+
+@pytest.mark.parametrize("kind", FRAMED_NAMES)
+def test_framed_file_of_another_kind_or_cut_short_refused(tmp_path, kind):
+    """Each file kind refuses a file of either other kind as "not ...", and
+    a cut at every byte from the end of its magic to the end of its header,
+    or inside its last block, as truncated; each refusal names the file."""
+    files = framed_files(tmp_path)
+    path, read, magic, header = files[kind]
+    data = path.read_bytes()
+    head = re.escape(str(path))
+    for other in FRAMED_NAMES.keys() - {kind}:
+        path.write_bytes(files[other][0].read_bytes())
+        with pytest.raises(ValueError, match=f"^{head}: not {FRAMED_NAMES[kind]}$"):
+            read()
+    for keep in [*range(len(magic), len(magic) + header + 1), len(data) - 1]:
+        path.write_bytes(data[:keep])
+        with pytest.raises(ValueError, match=f"^{head}: truncated {kind} file$"):
+            read()
 
 
 @pytest.fixture(scope="module")

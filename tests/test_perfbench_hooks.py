@@ -7,6 +7,7 @@ failure instead of failed benchmark operations.
 
 import importlib
 import importlib.util
+import inspect
 import json
 import pathlib
 
@@ -46,6 +47,16 @@ def test_hook_installs_and_restores_every_original(spans, hook):
     finally:
         h.uninstall()
     assert namespaces(spans) == before
+
+
+def test_every_writer_position_names_its_path_parameter(spans):
+    """The Tracer sizes each writer's output from the argument at its
+    ``WRITERS`` position, so a moved path argument would fail every traced
+    benchmark operation."""
+    for name, position in spans.WRITERS.items():
+        layer, func = name.split(".")
+        params = list(inspect.signature(getattr(spans.MODULES[layer], func)).parameters)
+        assert params[position] == "path", name
 
 
 def test_tracer_counts_what_music_returns(spans):
