@@ -151,7 +151,39 @@ def main(argv=None) -> int:
         return 1
 
 
+def _run_blas_on_one_thread() -> None:
+    """Set the OpenBLAS numpy loaded to one thread through its own setter,
+    found among the libraries mapped into this process.  Without one,
+    nothing changes.  Only the CLI's own process calls this, so importing
+    the package leaves the caller's thread count alone."""
+    import ctypes  # here, so that importing the package loads nothing more
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in (
+            "scipy_openblas_set_num_threads64_",
+            "openblas_set_num_threads64_",
+            "openblas_set_num_threads",
+        ):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                return
+
+
 def entry_point():  # console-script shim
+    # One BLAS thread: the gemms here are small, and on a 2-vCPU machine a
+    # second thread about doubled a verb's CPU time for the same wall time.
+    _run_blas_on_one_thread()
     raise SystemExit(main())
 
 

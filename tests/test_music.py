@@ -10,6 +10,7 @@ from arrayemu.arrays import (
     synthesize_block,
 )
 from arrayemu.cli import main
+from arrayemu.harness import GRID_PAD_DEG
 from arrayemu.music import (
     doa_mse,
     grid_angles,
@@ -327,18 +328,41 @@ def per_trial_chain(covs, cfg, grid, k):
     ])
 
 
+# The acceptance geometry: both arrays, K = 4, the 40-65 deg range's grid.
+ACCEPTANCE_CASES = [
+    pytest.param(ArrayConfig(n, n), 4, (40.0, 65.0), snr_db, 10, 150, id=f"{n}x{n}_{snr_db:g}dB")
+    for n in (8, 4)
+    for snr_db in (-16.0, 10.0)
+]
+
+
 class TestMusicDoas:
-    @pytest.mark.parametrize("snr_db", [0.0, NOISELESS], ids=["noisy", "noiseless"])
-    def test_stack_equals_per_trial_chain(self, snr_db):
-        cfg, grid, k = ArrayConfig(2, 3), (-5.0, 30.0, 0.1), 2
+    @pytest.mark.parametrize(
+        "cfg, k, scene_range, snr_db, trials, pulses",
+        [
+            pytest.param(ArrayConfig(2, 3), 2, (0.0, 25.0), 0.0, 6, 40, id="noisy"),
+            pytest.param(ArrayConfig(2, 3), 2, (0.0, 25.0), NOISELESS, 6, 40, id="noiseless"),
+            *ACCEPTANCE_CASES,
+        ],
+    )
+    def test_stack_equals_per_trial_chain(self, cfg, k, scene_range, snr_db, trials, pulses):
+        """The stack's signal-subspace spectra pick the angles of the
+        noise-subspace chain run on each covariance alone."""
+        grid = (scene_range[0] - GRID_PAD_DEG, scene_range[1] + GRID_PAD_DEG, 0.1)
         rng = np.random.default_rng(8)
         covs = sample_covariance(np.stack([
-            synthesize_block(*draw_scene((0, 25), k, 5.0, 40, rng=rng), cfg, snr_db, rng=rng)
-            for _ in range(6)
+            synthesize_block(*draw_scene(scene_range, k, 5.0, pulses, rng=rng), cfg, snr_db, rng=rng)
+            for _ in range(trials)
         ]))
         doas = music_doas(covs, cfg, grid, k)
-        assert doas.shape == (6, k)
+        assert doas.shape == (trials, k)
         assert np.array_equal(doas, per_trial_chain(covs, cfg, grid, k))
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_target_count_outside_the_array_rejected(self, k):
+        covs = np.eye(4)[None]
+        with pytest.raises(ValueError, match=f"target count k={k} must satisfy 1 <= k < 4"):
+            music_doas(covs, ArrayConfig(2, 2), (0.0, 10.0, 0.5), k)
 
     def test_single_matrix_rejected(self):
         with pytest.raises(ValueError, match=r"\(Q, MN, MN\) stack, got 2 dims"):
