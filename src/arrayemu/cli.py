@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if verb == "eval":
             p.add_argument("--train-set", default="M1", help="training set id to evaluate")
         if verb == "sweep":
-            p.add_argument("--case", default="matched_snr", help=" | ".join(CASES))
+            p.add_argument("--case", default="matched_snr", choices=CASES)
     return parser
 
 
@@ -111,6 +111,8 @@ def dispatch(args) -> int:
                     harness.train_set(r, sid)
                     print(f"trained {cfg.range_tag(r)}/{sid}")
     elif args.verb == "eval":
+        if args.train_set not in cfg.set_ids:
+            raise KeyError(f"unknown --train-set {args.train_set!r}; set ids: {cfg.set_ids}")
         # eval never trains: every range needs the set's model file.
         for r in range(len(cfg.angle_ranges_deg)):
             path = harness.model_path(r, args.train_set)
@@ -151,39 +153,41 @@ def main(argv=None) -> int:
         return 1
 
 
-def _run_blas_on_one_thread() -> None:
-    """Set the OpenBLAS numpy loaded to one thread through its own setter,
-    found among the libraries mapped into this process.  Without one,
-    nothing changes.  Only the CLI's own process calls this, so importing
-    the package leaves the caller's thread count alone."""
+def _openblas_function(name, argtypes, restype):
+    """OpenBLAS's ``openblas_<name>`` from a library mapped into this
+    process, as a ctypes function declared with ``argtypes`` and
+    ``restype``; None if no mapped library exports it."""
     import ctypes  # here, so that importing the package loads nothing more
 
     try:
         with open("/proc/self/maps", encoding="utf-8") as f:
             paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
     except OSError:
-        return
+        return None
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in (
-            "scipy_openblas_set_num_threads64_",
-            "openblas_set_num_threads64_",
-            "openblas_set_num_threads",
-        ):
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
+        # scipy-openblas prefixes its symbols, and 64-bit-integer builds suffix them.
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+            function = getattr(lib, symbol, None)
+            if function is not None:
+                function.argtypes, function.restype = argtypes, restype
+                return function
+    return None
 
 
 def entry_point():  # console-script shim
     # One BLAS thread: the gemms here are small, and on a 2-vCPU machine a
     # second thread about doubled a verb's CPU time for the same wall time.
-    _run_blas_on_one_thread()
+    # Only the CLI's own process sets it, so importing the package leaves the
+    # caller's thread count alone; without an OpenBLAS setter nothing changes.
+    import ctypes
+
+    setter = _openblas_function("set_num_threads", [ctypes.c_int], None)
+    if setter is not None:
+        setter(1)
     raise SystemExit(main())
 
 

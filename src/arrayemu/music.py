@@ -128,12 +128,10 @@ def grid_angles(grid) -> np.ndarray:
     return lo + step * np.arange(npts)
 
 
-def music_spectrum(un: np.ndarray, cfg: ArrayConfig, grid, steering=None) -> SpectrumResult:
+def music_spectrum(un: np.ndarray, cfg: ArrayConfig, grid) -> SpectrumResult:
     """MUSIC pseudospectrum 1 / ||U_n^H v(theta)||^2 on a degree grid.
 
-    ``grid`` is (lo_deg, hi_deg, step_deg).  ``steering`` is the grid's
-    (MN, grid points) steering matrix, built here when not given, so one
-    matrix can serve every trial of a bank.  The projection energy is
+    ``grid`` is (lo_deg, hi_deg, step_deg).  The projection energy is
     floored at DENOM_FLOOR before inversion.
     """
     grid_deg = grid_angles(grid)
@@ -141,13 +139,7 @@ def music_spectrum(un: np.ndarray, cfg: ArrayConfig, grid, steering=None) -> Spe
     if un.ndim != 2 or un.shape[1] < 1:
         raise ValueError("noise subspace must have at least one column")
     _check_rows(un.shape[0], cfg)
-    if steering is None:
-        steering = steering_matrix(np.deg2rad(grid_deg), cfg)
-    elif steering.shape != (cfg.virtual_size, grid_deg.size):
-        raise ValueError(
-            f"steering matrix has shape {steering.shape}, grid needs "
-            f"{(cfg.virtual_size, grid_deg.size)}"
-        )
+    steering = steering_matrix(np.deg2rad(grid_deg), cfg)
     # Squared in place: one (MN-K, G) temporary fewer, the same bits.
     power = np.abs(un.conj().T @ steering)
     denom = np.maximum(np.sum(np.square(power, out=power), axis=0), DENOM_FLOOR)

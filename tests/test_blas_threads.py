@@ -7,27 +7,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from openblas_lib import openblas_function
+from arrayemu.cli import _openblas_function
 from test_cli import write_tiny_config
 
-TESTS = str(Path(__file__).resolve().parent)
-SRC = str(Path(TESTS).parent / "src")
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 PINS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-GETTERS = (
-    "scipy_openblas_get_num_threads64_",
-    "openblas_get_num_threads64_",
-    "openblas_get_num_threads",
+# numpy's own record of the BLAS it links ("scipy-openblas" for its wheels):
+# where it names OpenBLAS, a finder that finds nothing is a failure, not a skip.
+needs_openblas = pytest.mark.skipif(
+    "openblas" not in np.__config__.CONFIG["Build Dependencies"]["blas"]["name"],
+    reason="numpy is not linked against OpenBLAS",
 )
 
 
+@needs_openblas
 def test_openblas_runs_one_thread():
-    getter = openblas_function(GETTERS, ctypes.c_int)
-    if getter is None:
-        pytest.skip("numpy is not linked against a findable OpenBLAS")
+    getter = _openblas_function("get_num_threads", [], ctypes.c_int)
+    assert getter is not None, "numpy links OpenBLAS, but no mapped library exports its getter"
     assert getter() == 1
+
+
+def test_finder_returns_none_for_a_function_no_library_exports():
+    """The case where ``entry_point`` finds no thread setter and runs on."""
+    assert _openblas_function("no_such_function", [ctypes.c_int], None) is None
 
 
 DRAW_BANK = """
@@ -57,12 +63,17 @@ def test_bank_file_bytes_do_not_follow_the_thread_count(tmp_path):
 
 
 # ``python -m arrayemu.cli``, which prints the BLAS thread count it ran on
-# as its last line.
-RUN_CLI_AS_MAIN = f"""
+# as its last line.  arrayemu.cli is imported only at exit, after runpy has
+# run it as __main__.
+RUN_CLI_AS_MAIN = """
 import atexit, ctypes, runpy, sys
-from openblas_lib import openblas_function
-getter = openblas_function({GETTERS!r}, ctypes.c_int)
-atexit.register(lambda: print("blas threads:", getter() if getter else "unknown"))
+
+def report():
+    from arrayemu.cli import _openblas_function
+    getter = _openblas_function("get_num_threads", [], ctypes.c_int)
+    print("blas threads:", getter() if getter is not None else "unknown")
+
+atexit.register(report)
 sys.argv[0] = "arrayemu"
 runpy.run_module("arrayemu.cli", run_name="__main__", alter_sys=True)
 """
@@ -72,7 +83,7 @@ def run_cli(args, pinned):
     env = {k: v for k, v in os.environ.items() if k not in PINS}
     if pinned:
         env.update(dict.fromkeys(PINS, "1"))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, TESTS, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     command = ["-m", "arrayemu.cli"] if pinned else ["-c", RUN_CLI_AS_MAIN]
     out = subprocess.run(
         [sys.executable, *command, *args], env=env, capture_output=True, text=True, timeout=120,
@@ -81,12 +92,11 @@ def run_cli(args, pinned):
     return out.stdout.splitlines()
 
 
+@needs_openblas
 def test_unpinned_cli_runs_one_thread_and_writes_the_pinned_bytes(tmp_path):
     """With no thread variable set, OpenBLAS starts a thread per core; the
     CLI's own process sets it to one before any work, and a verb that
     trains, predicts and runs MUSIC writes the bytes of a pinned run."""
-    if openblas_function(GETTERS, ctypes.c_int) is None:
-        pytest.skip("numpy is not linked against a findable OpenBLAS")
     outputs = []
     for pinned in (True, False):
         (tmp_path / str(pinned)).mkdir()

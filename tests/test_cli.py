@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import hashlib
 import os
 
@@ -6,9 +7,8 @@ import numpy as np
 import pytest
 
 from arrayemu import harness, network
-from arrayemu.cli import main
+from arrayemu.cli import _openblas_function, main
 from arrayemu.harness import CASES
-from openblas_lib import openblas_kernel
 
 
 def write_tiny_config(tmp_path):
@@ -73,6 +73,23 @@ def test_unknown_config_key_exits_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense_key = 1\n")
     assert main(["gen-data", "--config", str(cfg)]) == 2
+
+
+def test_unknown_case_exits_2(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--case", "bogus"]) == 2
+    assert "argument --case: invalid choice: 'bogus'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_train_set_exits_2(tmp_path, capsys):
+    cfg = write_tiny_config(tmp_path)
+    assert main(["eval", "--config", str(cfg), "--train-set", "bogus"]) == 2
+    assert capsys.readouterr().err == (
+        "arrayemu: usage error: unknown --train-set 'bogus'; "
+        "set ids: ['M1', 'M2', 'snr_-5', 'snr_0', 'snr_5']\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_missing_model_exits_1(tmp_path, capsys):
@@ -464,7 +481,9 @@ def test_every_verb_writes_the_recorded_bytes(tmp_path):
         for name, digest in sorted(RECORDED_DIGESTS.items())
         if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
     ]
+    corename = _openblas_function("get_corename", [], ctypes.c_char_p)
+    running = corename().decode() if corename is not None else "unknown"
     assert changed == [], (
         f"recorded under OpenBLAS {RECORDED_KERNEL} with numpy {RECORDED_NUMPY}, running "
-        f"{openblas_kernel()} with numpy {np.__version__}; files whose bytes changed: {changed}"
+        f"{running} with numpy {np.__version__}; files whose bytes changed: {changed}"
     )

@@ -18,6 +18,7 @@ import pytest
 import arrayemu
 
 MODULES = ["arrays", "music", "network", "metrics", "harness"]
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -78,18 +79,27 @@ def _unused_imports(path):
     return sorted((line, name) for name, line in bound.items() if name not in read | exported)
 
 
-@pytest.mark.parametrize(
-    "filename",
-    sorted(
-        name
-        for name in os.listdir(os.path.dirname(arrayemu.__file__))
+def _linted(folder, prefix):
+    """Each module of ``folder`` but ``__init__.py``, as a test parameter
+    whose id is the prefixed file name."""
+    return [
+        pytest.param(os.path.join(folder, name), id=prefix + name)
+        for name in sorted(os.listdir(folder))
         if name.endswith(".py") and name != "__init__.py"
-    ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "path",
+    _linted(os.path.dirname(arrayemu.__file__), "")
+    + _linted(os.path.join(ROOT, "tests"), "tests/")
+    + _linted(os.path.join(ROOT, "demos"), "demos/"),
 )
-def test_every_import_is_used(filename):
-    """A dependency-free unused-import lint: each name a module imports is
-    read in that module or re-exported through its ``__all__``."""
-    assert _unused_imports(os.path.join(os.path.dirname(arrayemu.__file__), filename)) == []
+def test_every_import_is_used(path):
+    """A dependency-free unused-import lint: each name a module of the
+    package, the tests or the demos imports is read in that module or
+    re-exported through its ``__all__``."""
+    assert _unused_imports(path) == []
 
 
 def test_import_loads_only_the_standard_library_and_numpy():

@@ -13,7 +13,6 @@ from arrayemu.cli import main
 from arrayemu.harness import GRID_PAD_DEG
 from arrayemu.music import (
     doa_mse,
-    grid_angles,
     hermitian_eig,
     music_doas,
     music_spectrum,
@@ -228,22 +227,6 @@ class TestMusicSpectrum:
         assert np.all(spec.values > 0)
         assert np.all(np.diff(spec.grid_deg) > 0)
         assert spec.grid_deg.size == 41
-
-    @pytest.mark.parametrize("cfg", [ArrayConfig(2, 3), ArrayConfig(8, 8, 0.37)])
-    def test_prebuilt_steering_matrix_changes_nothing(self, cfg):
-        un = noise_subspace(hermitian_eig(sample_covariance(
-            synthesize_block(*draw_scene((0, 25), 2, 5.0, 40, rng=3), cfg, 0.0, rng=4)
-        ))[1], 2)
-        grid = (-5.0, 30.0, 0.1)
-        steering = steering_matrix(np.deg2rad(grid_angles(grid)), cfg)
-        built, reused = music_spectrum(un, cfg, grid), music_spectrum(un, cfg, grid, steering)
-        assert np.array_equal(built.values, reused.values)
-        assert np.array_equal(built.grid_deg, reused.grid_deg)
-
-    @pytest.mark.parametrize("shape", [(4, 20), (6, 21), (21, 4)])
-    def test_steering_matrix_of_wrong_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match="steering matrix"):
-            music_spectrum(np.eye(4)[:, :2], ArrayConfig(2, 2), (0, 10, 0.5), np.ones(shape))
 
     def test_empty_noise_subspace_rejected(self):
         with pytest.raises(ValueError):
